@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-lp bench-alloc bench-mac bench-topo bench-sim bench-twin bench-serve
+.PHONY: build test race bench bench-lp bench-alloc bench-mac bench-topo bench-sim bench-twin bench-serve bench-e2e
 
 build:
 	$(GO) build ./...
@@ -68,3 +68,11 @@ bench-serve: build
 # to BENCH_twin.json.
 bench-twin: build
 	$(GO) run ./cmd/benchtables -only twin -json BENCH_twin.json
+
+# The repository benchmark end to end (BENCHMARK.json): builds
+# fairallocd and perfbench into .bench_build, drives the daemon over
+# loopback on the churn-sparse workload, checks every published share
+# against the centralized oracle, and runs the packet simulator on the
+# served flow sets. The last line of stdout is the JSON result.
+bench-e2e:
+	bash perfbench/run.sh --workload churn-sparse --seed 1 --seconds 50 --trace 0

@@ -163,6 +163,12 @@ func (d *DFS) SetShare(id flow.SubflowID, share float64) error {
 	return nil
 }
 
+// Share returns a registered subflow's current share.
+func (d *DFS) Share(id flow.SubflowID) (float64, bool) {
+	share, ok := d.shares[id]
+	return share, ok
+}
+
 // Drain implements Drainer.
 func (d *DFS) Drain(match func(*Packet) bool, out func(*Packet)) int {
 	return d.queue.filter(match, out)

@@ -1,14 +1,9 @@
 package netsim
 
 import (
-	"fmt"
-
 	"e2efair/internal/core"
 	"e2efair/internal/flow"
-	"e2efair/internal/mac"
 	"e2efair/internal/sim"
-	"e2efair/internal/stats"
-	"e2efair/internal/topology"
 )
 
 // FlowEvent starts and stops flows at a point in simulated time. Flows
@@ -23,233 +18,30 @@ type FlowEvent struct {
 type DynamicResult struct {
 	Result
 	// Reallocations counts first-phase recomputations triggered by
-	// flow churn.
+	// flow churn (and, in a run with a fault plan, by route repair).
 	Reallocations int
 	// GroupSolves and GroupReuses accumulate the allocator's churn
-	// deltas across reallocations: group LPs solved fresh versus served
-	// from the share cache. A churn event that perturbs one contention
-	// component solves one group and reuses the rest.
+	// deltas across the run's solves: group LPs solved fresh versus
+	// served from the share cache. A churn event that perturbs one
+	// contention component solves one group and reuses the rest.
 	GroupSolves int
 	GroupReuses int
 	// FinalShares is the allocation active when the run ended.
 	FinalShares core.SubflowAllocation
-	// Screened reports that the run was priced by the analytical twin
-	// (Config.Twin) instead of the packet simulator.
-	Screened bool
-	// TwinMinConfidence is the lowest twin confidence across the run's
-	// stationary segments when Screened; 1 when no segment was priced.
-	TwinMinConfidence float64
 }
 
-// RunDynamic simulates flow churn: at each event the set of active
-// (backlogged) flows changes and — for the allocation-driven protocol
-// stacks — the first phase is re-run over the active flows only, with
-// the new shares installed into the running schedulers. This exercises
-// the paper's assumption that allocation tracks the set of backlogged
-// flows.
+// RunDynamic simulates flow churn: no flow sends until an event starts
+// it, and at each event the set of active (backlogged) flows changes
+// and — for the allocation-driven protocol stacks — the first phase is
+// re-run over the active flows only, with the new shares installed into
+// the running schedulers. This exercises the paper's assumption that
+// allocation tracks the set of backlogged flows. A failed re-solve ends
+// the run with its error, unless the run has a fault plan or the
+// watchdog, which degrade it as Run does.
 func RunDynamic(inst *core.Instance, cfg Config, events []FlowEvent) (*DynamicResult, error) {
-	cfg = cfg.withDefaults()
-	if r, ok, err := runDynamicScreened(inst, cfg, events); ok || err != nil {
-		return r, err
-	}
-	if r, ok, err := runDynamicSharded(inst, cfg, events); ok {
-		return r, err
-	}
-	col := stats.NewCollector()
-	var stack *Stack
-	hooks := mac.Hooks{
-		OnDelivered: func(p *mac.Packet, now sim.Time) {
-			col.HopDelivered(p.SubflowID(), p.LastHop())
-			if p.LastHop() {
-				return
-			}
-			p.Hop++
-			ok, err := stack.Medium.Inject(p)
-			if err == nil && !ok {
-				col.QueueDrop(true)
-			}
-		},
-		OnRetryDrop: func(p *mac.Packet, _ sim.Time) { col.RetryDrop(p.Hop >= 1) },
-		OnCollision: func(_ topology.NodeID, _ sim.Time) { col.Collision() },
-	}
-	stack, err := NewStack(inst, cfg, hooks)
+	r, err := simulate(nil, inst, cfg.withDefaults(), events, true)
 	if err != nil {
 		return nil, err
 	}
-	eng := stack.Engine
-
-	res := &DynamicResult{Result: Result{
-		Protocol: cfg.Protocol,
-		Duration: cfg.Duration,
-		Stats:    col,
-		Shares:   stack.Shares,
-	}}
-	res.FinalShares = stack.Shares
-
-	// Per-flow traffic sources with an activity switch.
-	active := make(map[flow.ID]bool, inst.Flows.Len())
-	sources := make(map[flow.ID]*dynSource, inst.Flows.Len())
-	for _, f := range inst.Flows.Flows() {
-		sources[f.ID()] = &dynSource{
-			stack: stack, col: col, f: f, cfg: cfg,
-			interval: sim.Time(float64(sim.Second) / cfg.PacketsPerS),
-		}
-	}
-
-	// One allocator across every churn event: the LP solver scratch is
-	// reused and — because churn only perturbs the contention components
-	// touching the changed flows — most group LPs recur bit-identically
-	// across events, so the allocator's share cache copies their solved
-	// shares instead of re-solving. The instance cache skips rebuilding
-	// the contention graph and re-enumerating maximal cliques when an
-	// active-flow set comes back.
-	allocator := core.NewAllocator()
-	instCache := make(map[string]*core.Instance)
-	reallocate := func() error {
-		if cfg.Protocol == Protocol80211 {
-			return nil
-		}
-		var flows []*flow.Flow
-		var key []byte
-		for _, f := range inst.Flows.Flows() {
-			if active[f.ID()] {
-				flows = append(flows, f)
-				key = append(key, f.ID()...)
-				key = append(key, 0)
-			}
-		}
-		if len(flows) == 0 {
-			return nil
-		}
-		sub, ok := instCache[string(key)]
-		if !ok {
-			set, err := flow.NewSet(flows...)
-			if err != nil {
-				return err
-			}
-			sub, err = core.NewInstance(inst.Topo, set)
-			if err != nil {
-				return err
-			}
-			instCache[string(key)] = sub
-		}
-		shares, delta, err := sharesForDelta(allocator, sub, cfg.Protocol)
-		if err != nil {
-			return err
-		}
-		res.GroupSolves += delta.Solved
-		res.GroupReuses += delta.Reused
-		for id, share := range shares {
-			node := subflowSrc(inst, id)
-			ts, ok := stack.Medium.SchedulerAt(node).(*mac.TagScheduler)
-			if !ok {
-				continue
-			}
-			if err := ts.SetShare(id, share); err != nil {
-				return err
-			}
-		}
-		res.Reallocations++
-		res.FinalShares = shares
-		return nil
-	}
-
-	// Validate and schedule events.
-	for _, ev := range events {
-		for _, id := range append(append([]flow.ID{}, ev.Start...), ev.Stop...) {
-			if _, err := inst.Flows.Get(id); err != nil {
-				return nil, fmt.Errorf("netsim: dynamic event: %w", err)
-			}
-		}
-		ev := ev
-		if err := eng.Schedule(ev.At, 1, func() {
-			for _, id := range ev.Stop {
-				active[id] = false
-				sources[id].active = false
-			}
-			for _, id := range ev.Start {
-				if !active[id] {
-					active[id] = true
-					s := sources[id]
-					s.active = true
-					s.until = cfg.Duration
-					s.emit()
-				}
-			}
-			// Reallocation errors end the run early and surface via
-			// the engine's stop; they indicate programmer error in
-			// instance construction.
-			if err := reallocate(); err != nil {
-				eng.Stop()
-			}
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	var series *stats.Series
-	if cfg.SampleEvery > 0 {
-		series = stats.NewSeries(cfg.SampleEvery)
-		var sample func()
-		sample = func() {
-			series.Sample(eng.Now(), col)
-			if eng.Now() < cfg.Duration {
-				_ = eng.After(cfg.SampleEvery, 0, sample)
-			}
-		}
-		_ = eng.After(cfg.SampleEvery, 0, sample)
-	}
-
-	eng.Run(cfg.Duration)
-	res.Airtime = stack.Medium.Airtime()
-	res.Series = series
-	return res, nil
-}
-
-// subflowSrc resolves the transmitting node of a subflow ID.
-func subflowSrc(inst *core.Instance, id flow.SubflowID) topology.NodeID {
-	f, err := inst.Flows.Get(id.Flow)
-	if err != nil {
-		return -1
-	}
-	s, err := f.Subflow(id.Hop)
-	if err != nil {
-		return -1
-	}
-	return s.Src
-}
-
-// dynSource is a CBR source with an on/off switch.
-type dynSource struct {
-	stack    *Stack
-	col      *stats.Collector
-	f        *flow.Flow
-	cfg      Config
-	interval sim.Time
-	active   bool
-	until    sim.Time
-	seq      int64
-}
-
-func (s *dynSource) emit() {
-	if !s.active {
-		return
-	}
-	now := s.stack.Engine.Now()
-	p := &mac.Packet{
-		Flow:         s.f.ID(),
-		Seq:          s.seq,
-		Path:         s.f.Path(),
-		PayloadBytes: s.cfg.PayloadBytes,
-		Born:         now,
-	}
-	s.seq++
-	ok, err := s.stack.Medium.Inject(p)
-	if err == nil && !ok {
-		s.col.QueueDrop(false)
-	}
-	next := now + s.interval
-	if next < s.until {
-		_ = s.stack.Engine.Schedule(next, 1, s.emit)
-	}
+	return r.res, nil
 }

@@ -1,9 +1,13 @@
 package netsim_test
 
 import (
+	"errors"
 	"testing"
 
+	"e2efair/internal/core"
+	"e2efair/internal/fault"
 	"e2efair/internal/flow"
+	"e2efair/internal/lp"
 	"e2efair/internal/netsim"
 	"e2efair/internal/scenario"
 	"e2efair/internal/sim"
@@ -158,6 +162,132 @@ func TestDynamic80211NoReallocation(t *testing.T) {
 		t.Errorf("802.11 performed %d reallocations", res.Reallocations)
 	}
 	if res.Stats.TotalEndToEnd() == 0 {
+		t.Error("nothing delivered")
+	}
+}
+
+// TestDynamicRestartKeepsRate restarts F1 twice: once with a stop and
+// a start in the same event, once a few milliseconds after a stop,
+// before the stopped source's next packet was due. Either way F1 keeps
+// one emission schedule: 20 pkt/s for 10 s is 200 packets over F1.1,
+// exactly as in the run without restarts.
+func TestDynamicRestartKeepsRate(t *testing.T) {
+	sc, err := scenario.Figure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := netsim.Config{Protocol: netsim.Protocol80211, Duration: 10 * sim.Second, Seed: 1, PacketsPerS: 20}
+	start := netsim.FlowEvent{At: 0, Start: []flow.ID{"F1", "F2"}}
+	for name, events := range map[string][]netsim.FlowEvent{
+		"same-event": {start, {At: sim.Second, Stop: []flow.ID{"F1"}, Start: []flow.ID{"F1"}}},
+		"before-pending": {start,
+			{At: 1010 * sim.Millisecond, Stop: []flow.ID{"F1"}},
+			{At: 1020 * sim.Millisecond, Start: []flow.ID{"F1"}}},
+	} {
+		res, err := netsim.RunDynamic(sc.Inst, cfg, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Stats.Subflow(sub("F1", 0)); got != 200 {
+			t.Errorf("%s: F1.1 carried %d packets, want 200", name, got)
+		}
+	}
+}
+
+// TestDynamicReallocationError makes every re-solve fail: with both
+// Figure 1 weights at 1e200 the max-min refinement LP is infeasible.
+// The shares override skips the initial solve, so the failure first
+// surfaces at the t=0 reallocation and must come back as an error, as
+// it does from Run.
+func TestDynamicReallocationError(t *testing.T) {
+	sc, err := scenario.Figure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heavy []*flow.Flow
+	for _, f := range sc.Inst.Flows.Flows() {
+		hf, err := flow.New(f.ID(), 1e200, f.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		heavy = append(heavy, hf)
+	}
+	set, err := flow.NewSet(heavy...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := core.NewInstance(sc.Inst.Topo, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := netsim.Config{Protocol: netsim.Protocol2PAC, Duration: sim.Second, Seed: 1}
+	if _, err := netsim.Run(inst, cfg); !errors.Is(err, lp.ErrInfeasible) {
+		t.Fatalf("Run: err = %v, want lp.ErrInfeasible", err)
+	}
+	cfg.Shares = core.SubflowAllocation{sub("F1", 0): 0.25, sub("F1", 1): 0.25, sub("F2", 0): 0.25, sub("F2", 1): 0.25}
+	_, err = netsim.RunDynamic(inst, cfg, []netsim.FlowEvent{{At: 0, Start: []flow.ID{"F1", "F2"}}})
+	if !errors.Is(err, lp.ErrInfeasible) {
+		t.Errorf("RunDynamic: err = %v, want lp.ErrInfeasible", err)
+	}
+}
+
+// TestDynamicWatchdog runs the F1 toggle under the invariant watchdog:
+// packet conservation and the share floor hold across every churn
+// reallocation, and the churn itself is unchanged.
+func TestDynamicWatchdog(t *testing.T) {
+	sc, err := scenario.Figure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := netsim.Config{Protocol: netsim.Protocol2PAC, Duration: 25 * sim.Second, Seed: 1, Watchdog: true}
+	res, err := netsim.RunDynamic(sc.Inst, cfg, churnEvents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Resilience
+	if rep == nil {
+		t.Fatal("watchdog churn run returned no report")
+	}
+	if rep.WatchdogChecks == 0 {
+		t.Error("watchdog never ran")
+	}
+	if len(rep.Violations) != 0 {
+		t.Errorf("violations: %v", rep.Violations)
+	}
+	if res.Reallocations != len(churnEvents) {
+		t.Errorf("reallocations = %d, want %d", res.Reallocations, len(churnEvents))
+	}
+}
+
+// TestDynamicLinkCutReroutes cuts the diamond's A-B link while the
+// flow, started by a churn event, is running: the run repairs the
+// route onto A-D-C and keeps delivering.
+func TestDynamicLinkCutReroutes(t *testing.T) {
+	inst := diamondInstance(t)
+	cfg := netsim.Config{
+		Protocol: netsim.Protocol2PAC,
+		Duration: 20 * sim.Second,
+		Seed:     1,
+		Fault:    &fault.Plan{Seed: 5, LinkFaults: []fault.LinkFault{{A: 0, B: 1, Down: 5 * sim.Second}}},
+	}
+	res, err := netsim.RunDynamic(inst, cfg, []netsim.FlowEvent{{At: sim.Second, Start: []flow.ID{"F1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Resilience
+	if rep == nil {
+		t.Fatal("fault churn run returned no report")
+	}
+	if rep.Reroutes == 0 {
+		t.Fatal("link cut was never repaired")
+	}
+	if got := rep.FinalRoutes["F1"]; !pathEq(got, 0, 3, 2) {
+		t.Errorf("final route %v, want A-D-C", got)
+	}
+	if res.Reallocations < 2 {
+		t.Errorf("reallocations = %d, want the churn start and the repair", res.Reallocations)
+	}
+	if res.Stats.EndToEnd("F1") == 0 {
 		t.Error("nothing delivered")
 	}
 }

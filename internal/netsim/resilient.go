@@ -2,16 +2,14 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"e2efair/internal/core"
 	"e2efair/internal/fault"
 	"e2efair/internal/flow"
 	"e2efair/internal/mac"
-	"e2efair/internal/routing"
 	"e2efair/internal/sim"
-	"e2efair/internal/stats"
 	"e2efair/internal/topology"
-	"e2efair/internal/traffic"
 )
 
 // salvageLimit bounds how many times one packet may be re-routed onto
@@ -84,14 +82,6 @@ func (r *ResilienceReport) MeanTimeToRepair() sim.Time {
 	return r.RepairTime / sim.Time(r.Reroutes)
 }
 
-// pendingRepair is a flow awaiting route repair: at is when the
-// RERR-style notification reaches the source, brokenAt when the break
-// was detected.
-type pendingRepair struct {
-	at       sim.Time
-	brokenAt sim.Time
-}
-
 // ukey builds an undirected link key.
 func ukey(a, b topology.NodeID) uint64 {
 	if a > b {
@@ -100,195 +90,9 @@ func ukey(a, b topology.NodeID) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-// shareSetter is the scheduler surface reallocation drives: both the
-// tag scheduler and DFS implement it.
-type shareSetter interface {
-	AddSubflow(id flow.SubflowID, share float64) error
-	SetShare(id flow.SubflowID, share float64) error
-}
-
-// resilience coordinates the fault-aware run: it owns current routes,
-// reacts to link-dead signals with RERR-delayed batched repair,
-// salvages stranded packets, re-solves shares with graceful LP
-// degradation, and runs the invariant watchdog.
-type resilience struct {
-	cfg   Config
-	inst  *core.Instance
-	alloc *core.Allocator
-	stack *Stack
-	inj   *fault.Injector
-	col   *stats.Collector
-	lat   *stats.LatencyTracker
-	rep   *ResilienceReport
-
-	flowIDs     []flow.ID
-	routes      map[flow.ID][]topology.NodeID
-	flowShare   map[flow.ID]float64
-	organic     map[uint64]bool // MAC-declared dead links
-	pending     map[flow.ID]pendingRepair
-	unreachable map[flow.ID]sim.Time
-
-	bfs      routing.BFSTree
-	keepFn   func(u, v topology.NodeID) bool
-	repairFn func()
-}
-
-// runResilient is RunWith's fault-aware twin: same stack, same
-// sources, plus the resilience coordinator wired into the MAC hooks.
-func runResilient(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, error) {
-	if inst.Topo == nil {
-		return nil, ErrNeedTopology
-	}
-	var inj *fault.Injector
-	if cfg.Fault != nil {
-		var err error
-		inj, err = cfg.Fault.Compile(inst.Topo.NumNodes())
-		if err != nil {
-			return nil, err
-		}
-		// Shard runs re-seed the per-transmitter loss streams with the
-		// nodes' global identities so the draws replay the
-		// whole-network run.
-		if cfg.nodeIDs != nil {
-			if err := inj.SetNodeIDs(cfg.nodeIDs); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if a == nil {
-		a = core.NewAllocatorWorkers(1)
-	}
-	r := &resilience{
-		cfg:         cfg,
-		inst:        inst,
-		alloc:       a,
-		inj:         inj,
-		col:         stats.NewCollector(),
-		lat:         stats.NewLatencyTracker(),
-		rep:         &ResilienceReport{},
-		routes:      make(map[flow.ID][]topology.NodeID),
-		flowShare:   make(map[flow.ID]float64),
-		organic:     make(map[uint64]bool),
-		pending:     make(map[flow.ID]pendingRepair),
-		unreachable: make(map[flow.ID]sim.Time),
-	}
-	r.keepFn = r.linkAlive
-	r.repairFn = r.repair
-	// Solve the initial shares gracefully so a degenerate instance
-	// degrades to basic shares instead of failing the run.
-	if cfg.Shares == nil && cfg.Protocol != Protocol80211 {
-		shares, degraded, err := r.solveShares(inst)
-		if err != nil {
-			return nil, err
-		}
-		if degraded {
-			r.rep.DegradedAllocs++
-		}
-		cfg.Shares = shares
-		r.cfg.Shares = shares
-	}
-	hooks := mac.Hooks{
-		OnDelivered: r.onDelivered,
-		OnRetryDrop: r.onRetryDrop,
-		OnCollision: func(_ topology.NodeID, _ sim.Time) { r.col.Collision() },
-		OnCorrupt:   r.onCorrupt,
-		OnLinkDead:  r.onLinkDead,
-	}
-	stack, err := NewStackWith(a, inst, cfg, hooks)
-	if err != nil {
-		return nil, err
-	}
-	r.stack = stack
-	if inj != nil {
-		stack.Medium.SetLinkState(inj)
-		stack.Medium.Channel().SetLossModel(inj)
-		if err := inj.Arm(stack.Engine, r.onFaultChange); err != nil {
-			return nil, err
-		}
-	}
-	for _, f := range inst.Flows.Flows() {
-		fid := f.ID()
-		r.flowIDs = append(r.flowIDs, fid)
-		r.routes[fid] = f.Path()
-		if stack.Shares != nil {
-			r.flowShare[fid] = stack.Shares[flow.SubflowID{Flow: fid, Hop: 0}]
-		}
-	}
-	for i, f := range inst.Flows.Flows() {
-		fid := f.ID()
-		err := traffic.StartCBR(stack.Engine, stack.Medium, traffic.CBRConfig{
-			Flow:         f,
-			PacketsPerS:  cfg.PacketsPerS,
-			PayloadBytes: cfg.PayloadBytes,
-			Offset:       cbrOffset(cfg, i),
-			Until:        cfg.Duration,
-			Route:        func() []topology.NodeID { return r.routes[fid] },
-			OnEmit: func(_ *mac.Packet, accepted bool, _ sim.Time) {
-				r.rep.Emitted++
-				if accepted {
-					r.rep.Injected++
-				} else {
-					r.col.QueueDrop(false)
-					r.rep.SourceDrops++
-				}
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var series *stats.Series
-	if cfg.SampleEvery > 0 {
-		series = stats.NewSeries(cfg.SampleEvery)
-		var sample func()
-		sample = func() {
-			series.Sample(stack.Engine.Now(), r.col)
-			if stack.Engine.Now() < cfg.Duration {
-				_ = stack.Engine.After(cfg.SampleEvery, 0, sample)
-			}
-		}
-		_ = stack.Engine.After(cfg.SampleEvery, 0, sample)
-	}
-	if cfg.Watchdog {
-		r.checkShareFloor(inst, stack.Shares)
-		var tick func()
-		tick = func() {
-			r.checkInvariants()
-			if stack.Engine.Now() < cfg.Duration {
-				_ = stack.Engine.After(watchdogEvery, 0, tick)
-			}
-		}
-		_ = stack.Engine.After(watchdogEvery, 0, tick)
-	}
-
-	stack.Engine.Run(cfg.Duration)
-
-	if cfg.Watchdog {
-		r.checkInvariants()
-	}
-	if inj != nil {
-		r.rep.InjectedLosses = inj.Corruptions()
-	}
-	r.rep.FinalRoutes = make(map[flow.ID][]topology.NodeID, len(r.flowIDs))
-	for _, fid := range r.flowIDs {
-		r.rep.FinalRoutes[fid] = r.routes[fid]
-	}
-	return &Result{
-		Protocol:   cfg.Protocol,
-		Duration:   cfg.Duration,
-		Stats:      r.col,
-		Shares:     stack.Shares,
-		Airtime:    stack.Medium.Airtime(),
-		Series:     series,
-		Latency:    r.lat,
-		Resilience: r.rep,
-	}, nil
-}
-
 // linkAlive is the BFS keep predicate: a link is usable unless the MAC
 // declared it dead or the injector holds it (or an endpoint) down.
-func (r *resilience) linkAlive(u, v topology.NodeID) bool {
+func (r *runner) linkAlive(u, v topology.NodeID) bool {
 	if r.organic[ukey(u, v)] {
 		return false
 	}
@@ -298,42 +102,7 @@ func (r *resilience) linkAlive(u, v topology.NodeID) bool {
 	return true
 }
 
-func (r *resilience) onDelivered(p *mac.Packet, now sim.Time) {
-	r.col.HopDelivered(p.SubflowID(), p.LastHop())
-	if p.LastHop() {
-		r.lat.Record(p.Flow, now-p.Born)
-		r.rep.Delivered++
-		r.stack.Medium.FreePacket(p)
-		return
-	}
-	p.Hop++
-	ok, injErr := r.stack.Medium.Inject(p)
-	if injErr == nil && !ok {
-		r.col.QueueDrop(true)
-		r.col.DropAt(p.SubflowID())
-		r.rep.QueueDrops++
-		r.stack.Medium.FreePacket(p)
-	}
-}
-
-// onRetryDrop salvages the abandoned packet onto a detour when one
-// exists; otherwise the drop is attributed (retry vs no-route) and the
-// packet freed.
-func (r *resilience) onRetryDrop(p *mac.Packet, now sim.Time) {
-	if r.inj != nil && r.salvage(p, now) {
-		r.rep.Salvaged++
-		return
-	}
-	inFlight := p.Hop >= 1
-	r.col.RetryDrop(inFlight)
-	if inFlight {
-		r.col.DropAt(p.SubflowID())
-	}
-	r.rep.RetryDrops++
-	r.stack.Medium.FreePacket(p)
-}
-
-func (r *resilience) onCorrupt(_ *mac.Packet, _ topology.NodeID, _ sim.Time) {
+func (r *runner) onCorrupt(_ *mac.Packet, _ topology.NodeID, _ sim.Time) {
 	r.rep.CorruptFrames++
 }
 
@@ -341,7 +110,7 @@ func (r *resilience) onCorrupt(_ *mac.Packet, _ topology.NodeID, _ sim.Time) {
 // routing view, the transmitter's queue is salvaged, and every flow
 // routed over the link is scheduled for repair after an RERR-style
 // per-hop propagation delay back to its source.
-func (r *resilience) onLinkDead(tx, rx topology.NodeID, now sim.Time) {
+func (r *runner) onLinkDead(tx, rx topology.NodeID, now sim.Time) {
 	r.rep.LinkDeadSignals++
 	r.organic[ukey(tx, rx)] = true
 	r.stack.Medium.DrainNode(tx, func(p *mac.Packet) bool {
@@ -352,29 +121,31 @@ func (r *resilience) onLinkDead(tx, rx topology.NodeID, now sim.Time) {
 
 // scheduleFlowRepairs queues repair for every flow whose current route
 // crosses the undirected link a-b.
-func (r *resilience) scheduleFlowRepairs(a, b topology.NodeID, now sim.Time) {
+func (r *runner) scheduleFlowRepairs(a, b topology.NodeID, now sim.Time) {
 	affected := false
-	for _, fid := range r.flowIDs {
-		i := hopIndex(r.routes[fid], a, b)
-		if i < 0 {
+	for i := range r.flows {
+		fl := &r.flows[i]
+		h := hopIndex(fl.src.Path(), a, b)
+		if h < 0 {
 			continue
 		}
 		affected = true
-		r.queueRepair(fid, now, now+sim.Time(i)*r.cfg.RERRHopDelay)
+		r.queueRepair(fl, now, now+sim.Time(h)*r.cfg.RERRHopDelay)
 	}
 	if affected {
 		r.rep.RouteErrors++
 	}
 }
 
-// queueRepair registers a flow for repair at time at; an already
-// pending repair keeps its earlier schedule.
-func (r *resilience) queueRepair(fid flow.ID, brokenAt, at sim.Time) {
-	if _, ok := r.pending[fid]; ok {
+// queueRepair registers a flow for repair at time at, when the
+// RERR-style notification reaches its source, of a break detected at
+// brokenAt; an already pending repair keeps its earlier schedule.
+func (r *runner) queueRepair(fl *flowRun, brokenAt, at sim.Time) {
+	if fl.repairing {
 		return
 	}
-	delete(r.unreachable, fid)
-	r.pending[fid] = pendingRepair{at: at, brokenAt: brokenAt}
+	fl.unreachable = false
+	fl.repairing, fl.repairAt, fl.brokenAt = true, at, brokenAt
 	_ = r.stack.Engine.Schedule(at, 1, r.repairFn)
 }
 
@@ -392,7 +163,7 @@ func hopIndex(route []topology.NodeID, a, b topology.NodeID) int {
 // onFaultChange reacts to an injected transition: the MAC reconsiders
 // the affected nodes, downed elements trigger proactive salvage and
 // repair, and recoveries retry unreachable flows.
-func (r *resilience) onFaultChange(ch fault.Change) {
+func (r *runner) onFaultChange(ch fault.Change) {
 	now := ch.At
 	med := r.stack.Medium
 	if ch.Node >= 0 {
@@ -404,8 +175,9 @@ func (r *resilience) onFaultChange(ch fault.Change) {
 		}
 		// Crash: flows routed through the node must detour; packets
 		// queued at upstream neighbors toward it are salvaged.
-		for _, fid := range r.flowIDs {
-			route := r.routes[fid]
+		for fi := range r.flows {
+			fl := &r.flows[fi]
+			route := fl.src.Path()
 			for i, n := range route {
 				if n != ch.Node {
 					continue
@@ -416,7 +188,7 @@ func (r *resilience) onFaultChange(ch fault.Change) {
 						return p.Receiver() == ch.Node
 					}, func(p *mac.Packet) { r.salvageDrained(p, now) })
 				}
-				r.queueRepair(fid, now, now+sim.Time(max(i-1, 0))*r.cfg.RERRHopDelay)
+				r.queueRepair(fl, now, now+sim.Time(max(i-1, 0))*r.cfg.RERRHopDelay)
 				break
 			}
 		}
@@ -446,7 +218,7 @@ func (r *resilience) onFaultChange(ch fault.Change) {
 // clearOrganicAt forgets MAC-declared dead links incident to a node
 // that just recovered: the declarations were (possibly) symptoms of
 // the crash, and traffic re-probes the links naturally.
-func (r *resilience) clearOrganicAt(node topology.NodeID) {
+func (r *runner) clearOrganicAt(node topology.NodeID) {
 	for k := range r.organic {
 		if topology.NodeID(k>>32) == node || topology.NodeID(uint32(k)) == node {
 			delete(r.organic, k)
@@ -456,30 +228,27 @@ func (r *resilience) clearOrganicAt(node topology.NodeID) {
 
 // retryUnreachable re-queues repair for flows that previously found no
 // route, now that something recovered.
-func (r *resilience) retryUnreachable(now sim.Time) {
-	for _, fid := range r.flowIDs {
-		brokenAt, ok := r.unreachable[fid]
-		if !ok {
-			continue
+func (r *runner) retryUnreachable(now sim.Time) {
+	for i := range r.flows {
+		if fl := &r.flows[i]; fl.unreachable {
+			r.queueRepair(fl, fl.brokenAt, now+r.cfg.RERRHopDelay)
 		}
-		delete(r.unreachable, fid)
-		r.queueRepair(fid, brokenAt, now+r.cfg.RERRHopDelay)
 	}
 }
 
 // repair processes due pending repairs in flow order — the batched
 // route repair: one BFS per distinct flow, one reallocation for the
 // whole batch.
-func (r *resilience) repair() {
+func (r *runner) repair() {
 	now := r.stack.Engine.Now()
 	changed := false
-	for _, fid := range r.flowIDs {
-		pr, ok := r.pending[fid]
-		if !ok || pr.at > now {
+	for i := range r.flows {
+		fl := &r.flows[i]
+		if !fl.repairing || fl.repairAt > now {
 			continue
 		}
-		delete(r.pending, fid)
-		if r.reroute(fid, pr.brokenAt, now) {
+		fl.repairing = false
+		if r.reroute(fl, now) {
 			changed = true
 		}
 	}
@@ -488,45 +257,31 @@ func (r *resilience) repair() {
 	}
 }
 
-// reroute recomputes one flow's route over the masked topology.
-func (r *resilience) reroute(fid flow.ID, brokenAt, now sim.Time) bool {
-	f, err := r.inst.Flows.Get(fid)
-	if err != nil {
-		return false
-	}
-	src, dst := f.Source(), f.Destination()
+// reroute recomputes one flow's route over the masked topology; a flow
+// with no route waits, unreachable, for a recovery.
+func (r *runner) reroute(fl *flowRun, now sim.Time) bool {
+	src, dst := fl.f.Source(), fl.f.Destination()
 	if r.inj != nil && (!r.inj.NodeUp(src) || !r.inj.NodeUp(dst)) {
-		r.unreachable[fid] = brokenAt
+		fl.unreachable = true
 		return false
 	}
 	if err := r.bfs.BuildFiltered(r.inst.Topo, src, r.keepFn); err != nil {
-		r.unreachable[fid] = brokenAt
+		fl.unreachable = true
 		return false
 	}
 	path, err := r.bfs.PathTo(dst)
 	if err != nil {
-		r.unreachable[fid] = brokenAt
+		fl.unreachable = true
 		return false
 	}
-	if equalPath(path, r.routes[fid]) {
+	if slices.Equal(path, fl.src.Path()) {
 		return false
 	}
-	r.routes[fid] = path
+	fl.src.SetPath(path)
+	clear(r.instCache)
 	r.rep.Reroutes++
-	r.rep.RepairTime += now - brokenAt
+	r.rep.RepairTime += now - fl.brokenAt
 	r.trace(mac.TraceEvent{Kind: mac.TraceReroute, At: now, Node: src, Peer: dst})
-	return true
-}
-
-func equalPath(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
 	return true
 }
 
@@ -534,7 +289,7 @@ func equalPath(a, b []topology.NodeID) bool {
 // fault-free path to its destination and re-injects it. It returns
 // false when no detour exists (or the packet exhausted its salvage
 // budget); the caller attributes and frees the packet.
-func (r *resilience) salvage(p *mac.Packet, now sim.Time) bool {
+func (r *runner) salvage(p *mac.Packet, now sim.Time) bool {
 	if p.Salvage >= salvageLimit {
 		return false
 	}
@@ -567,7 +322,7 @@ func (r *resilience) salvage(p *mac.Packet, now sim.Time) bool {
 
 // salvageDrained handles a packet pulled off a forwarding queue by a
 // link-dead drain: salvage it, or attribute the loss as no-route.
-func (r *resilience) salvageDrained(p *mac.Packet, now sim.Time) {
+func (r *runner) salvageDrained(p *mac.Packet, now sim.Time) {
 	if r.salvage(p, now) {
 		r.rep.Salvaged++
 		return
@@ -584,8 +339,8 @@ func (r *resilience) salvageDrained(p *mac.Packet, now sim.Time) {
 // registerPath makes sure every transmitting node along a detour
 // accepts the flow's subflow IDs, registering missing queues at the
 // flow's current share. Existing registrations are left untouched.
-func (r *resilience) registerPath(fid flow.ID, path []topology.NodeID) {
-	share := r.flowShare[fid]
+func (r *runner) registerPath(fid flow.ID, path []topology.NodeID) {
+	share := r.flow(fid).share
 	for i := 0; i+1 < len(path); i++ {
 		sched := r.stack.Medium.SchedulerAt(path[i])
 		ss, ok := sched.(shareSetter)
@@ -597,119 +352,8 @@ func (r *resilience) registerPath(fid flow.ID, path []topology.NodeID) {
 	}
 }
 
-// solveShares computes the protocol's per-subflow allocation with
-// graceful LP degradation, accumulating the allocator's churn delta
-// into the report.
-func (r *resilience) solveShares(sub *core.Instance) (core.SubflowAllocation, bool, error) {
-	shares, delta, degraded, err := solveSharesGraceful(r.alloc, sub, r.cfg.Protocol)
-	if err != nil {
-		return nil, false, err
-	}
-	r.rep.GroupSolves += int64(delta.Solved)
-	r.rep.GroupReuses += int64(delta.Reused)
-	return shares, degraded, nil
-}
-
-// solveSharesGraceful is the graceful first-phase solve shared by the
-// resilient run and the sharded runner's hoisted whole-instance solve.
-// A nil allocator solves on fresh single-worker state.
-func solveSharesGraceful(a *core.Allocator, inst *core.Instance, p Protocol) (core.SubflowAllocation, core.Delta, bool, error) {
-	if a == nil {
-		a = core.NewAllocatorWorkers(1)
-	}
-	switch p {
-	case Protocol80211:
-		return nil, core.Delta{}, false, nil
-	case ProtocolTwoTier:
-		return core.TwoTierAllocate(inst), core.Delta{}, false, nil
-	case Protocol2PAC, ProtocolDFS:
-		alloc, delta, degraded, err := a.GracefulCentralizedDelta(inst, core.CentralizedOptions{Refine: true})
-		if err != nil {
-			return nil, core.Delta{}, false, err
-		}
-		return alloc.Uniform(inst.Flows), delta, degraded, nil
-	case Protocol2PAD:
-		alloc, degraded, err := a.GracefulDistributed(inst)
-		if err != nil {
-			return nil, core.Delta{}, false, err
-		}
-		return alloc.Uniform(inst.Flows), core.Delta{}, degraded, nil
-	default:
-		return nil, core.Delta{}, false, fmt.Errorf("netsim: unknown protocol %d", int(p))
-	}
-}
-
-// reallocate re-solves shares over the current routes and installs
-// them into the running schedulers — the graceful-degradation
-// re-allocation on topology change. Failures are recorded, never
-// fatal: the previous shares stay in force.
-func (r *resilience) reallocate(now sim.Time) {
-	if r.cfg.Protocol == Protocol80211 {
-		return
-	}
-	fls := make([]*flow.Flow, 0, len(r.flowIDs))
-	for _, fid := range r.flowIDs {
-		f, err := r.inst.Flows.Get(fid)
-		if err != nil {
-			continue
-		}
-		nf, err := flow.New(fid, f.Weight(), r.routes[fid])
-		if err != nil {
-			r.violation(now, fmt.Sprintf("reallocate: rebuild flow %s: %v", fid, err))
-			return
-		}
-		fls = append(fls, nf)
-	}
-	set, err := flow.NewSet(fls...)
-	if err != nil {
-		r.violation(now, fmt.Sprintf("reallocate: flow set: %v", err))
-		return
-	}
-	// Lenient: detours may pass within range of other route nodes,
-	// which the strict no-shortcut validation would reject.
-	sub, err := core.NewInstanceLenient(r.inst.Topo, set)
-	if err != nil {
-		r.violation(now, fmt.Sprintf("reallocate: instance: %v", err))
-		return
-	}
-	shares, degraded, err := r.solveShares(sub)
-	if err != nil {
-		r.violation(now, fmt.Sprintf("reallocate: solve: %v", err))
-		return
-	}
-	r.rep.Reallocations++
-	if degraded {
-		r.rep.DegradedAllocs++
-		r.trace(mac.TraceEvent{Kind: mac.TraceDegraded, At: now, Node: -1, Peer: -1})
-	}
-	for _, f := range sub.Flows.Flows() {
-		for _, s := range f.Subflows() {
-			share := shares[s.ID]
-			sched := r.stack.Medium.SchedulerAt(s.Src)
-			ss, ok := sched.(shareSetter)
-			if !ok {
-				continue
-			}
-			if err := ss.SetShare(s.ID, share); err != nil {
-				_ = ss.AddSubflow(s.ID, share)
-			}
-		}
-		r.flowShare[f.ID()] = shares[flow.SubflowID{Flow: f.ID(), Hop: 0}]
-	}
-	if r.cfg.Watchdog {
-		r.checkShareFloorInstance(sub, shares)
-	}
-}
-
-// trace forwards a resilience event through the configured tracer.
-func (r *resilience) trace(ev mac.TraceEvent) {
-	if r.cfg.Tracer != nil {
-		r.cfg.Tracer.Trace(ev)
-	}
-}
-
 // violation records a watchdog violation (bounded).
-func (r *resilience) violation(now sim.Time, msg string) {
+func (r *runner) violation(now sim.Time, msg string) {
 	if len(r.rep.Violations) >= maxViolations {
 		return
 	}
@@ -718,7 +362,7 @@ func (r *resilience) violation(now sim.Time, msg string) {
 
 // checkShareFloor verifies the basic-share floor of the paper's
 // fairness constraint on the initial allocation.
-func (r *resilience) checkShareFloor(inst *core.Instance, shares core.SubflowAllocation) {
+func (r *runner) checkShareFloor(inst *core.Instance, shares core.SubflowAllocation) {
 	switch r.cfg.Protocol {
 	case Protocol2PAC, Protocol2PAD, ProtocolDFS:
 		r.checkShareFloorInstance(inst, shares)
@@ -728,7 +372,7 @@ func (r *resilience) checkShareFloor(inst *core.Instance, shares core.SubflowAll
 // checkShareFloorInstance asserts every flow's installed share is at
 // least its closed-form basic share (within tolerance) — the invariant
 // both the LP and the degraded fallback must satisfy.
-func (r *resilience) checkShareFloorInstance(inst *core.Instance, shares core.SubflowAllocation) {
+func (r *runner) checkShareFloorInstance(inst *core.Instance, shares core.SubflowAllocation) {
 	if shares == nil {
 		return
 	}
@@ -747,7 +391,7 @@ func (r *resilience) checkShareFloorInstance(inst *core.Instance, shares core.Su
 // checks at the current instant. Events fire atomically between
 // packet handoffs, so the balance holds exactly: every accepted
 // packet is delivered, attributed to one drop cause, or still queued.
-func (r *resilience) checkInvariants() {
+func (r *runner) checkInvariants() {
 	r.rep.WatchdogChecks++
 	now := r.stack.Engine.Now()
 	backlog := int64(r.stack.Medium.Backlog())

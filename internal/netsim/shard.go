@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"e2efair/internal/core"
@@ -49,7 +50,7 @@ func NewSharder() *Sharder {
 // behaviorally interchangeable even when positions drifted without
 // changing any range predicate.
 func (s *Sharder) subTopo(t *topology.Topology, members []topology.NodeID, fp uint64) (*topology.Topology, error) {
-	if e, ok := s.cache[fp]; ok && equalNodeIDs(e.members, members) {
+	if e, ok := s.cache[fp]; ok && slices.Equal(e.members, members) {
 		return e.topo, nil
 	}
 	sub, err := t.Subset(members)
@@ -61,18 +62,6 @@ func (s *Sharder) subTopo(t *topology.Topology, members []topology.NodeID, fp ui
 		topo:    sub,
 	}
 	return sub, nil
-}
-
-func equalNodeIDs(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // shardProblem is one component's fully prepared sub-run: the induced
@@ -131,11 +120,7 @@ func runSharded(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, bo
 	initDegraded := false
 	if shares == nil && cfg.Protocol != Protocol80211 {
 		var err error
-		if resilient {
-			shares, initDelta, initDegraded, err = solveSharesGraceful(a, inst, cfg.Protocol)
-		} else {
-			shares, _, err = sharesForDelta(a, inst, cfg.Protocol)
-		}
+		shares, initDelta, initDegraded, err = solveShares(a, inst, cfg.Protocol, resilient)
 		if err != nil {
 			return nil, true, err
 		}
@@ -310,148 +295,10 @@ func runShardProblems(probs []*shardProblem, workers int) ([]*Result, error) {
 			for i := range idx {
 				scfg := probs[i].cfg
 				scfg.eng = eng
-				results[i], errs[i] = runSingle(nil, probs[i].inst, scfg)
-			}
-		}()
-	}
-	for i := range probs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("netsim: shard %d (component %d): %w", i, probs[i].comp, err)
-		}
-	}
-	return results, nil
-}
-
-// runDynamicSharded is the churn-run analog of runSharded: flow events
-// route to the component owning the flow (the source's component —
-// paths never leave it), and each shard replays only its own start/
-// stop schedule. The hoisted initial allocation is sliced exactly as
-// in the static case; reallocations then run shard-locally. Because
-// group LPs never span radio components and installing an unchanged
-// share is a no-op, the scheduler state after any event matches the
-// single-engine run, so delivery statistics are byte-identical. The
-// Reallocations/GroupSolves/GroupReuses counters tally per-shard solves
-// and can differ from the single-engine tally; FinalShares is the union
-// of the shards' final allocations.
-func runDynamicSharded(inst *core.Instance, cfg Config, events []FlowEvent) (*DynamicResult, bool, error) {
-	if !cfg.ShardSim || cfg.Tracer != nil || inst.Topo == nil || cfg.Fault != nil || cfg.Watchdog {
-		return nil, false, nil
-	}
-	sh := cfg.Sharder
-	if sh == nil {
-		sh = NewSharder()
-	}
-	inst.Topo.AppendRadioComponents(&sh.comps)
-	if sh.comps.Len() < shardMinComponents {
-		return nil, false, nil
-	}
-
-	// Validate events against the full flow set first, preserving the
-	// single-engine error behavior even for flows that end up in a
-	// shard the event never reaches.
-	for _, ev := range events {
-		for _, id := range ev.Start {
-			if _, err := inst.Flows.Get(id); err != nil {
-				return nil, true, fmt.Errorf("netsim: dynamic event: %w", err)
-			}
-		}
-		for _, id := range ev.Stop {
-			if _, err := inst.Flows.Get(id); err != nil {
-				return nil, true, fmt.Errorf("netsim: dynamic event: %w", err)
-			}
-		}
-	}
-
-	shares := cfg.Shares
-	if shares == nil && cfg.Protocol != Protocol80211 {
-		var err error
-		shares, err = sharesFor(inst, cfg.Protocol)
-		if err != nil {
-			return nil, true, err
-		}
-	}
-	probs, err := buildShardProblems(sh, inst, cfg, shares, false)
-	if err != nil {
-		return nil, true, err
-	}
-
-	// Split the event schedule: each shard sees the events restricted
-	// to its own flows, with emptied events dropped.
-	compOfFlow := make(map[flow.ID]int, inst.Flows.Len())
-	for pi, p := range probs {
-		for _, f := range p.inst.Flows.Flows() {
-			compOfFlow[f.ID()] = pi
-		}
-	}
-	shardEvents := make([][]FlowEvent, len(probs))
-	for _, ev := range events {
-		for pi := range probs {
-			var sub FlowEvent
-			sub.At = ev.At
-			for _, id := range ev.Start {
-				if compOfFlow[id] == pi {
-					sub.Start = append(sub.Start, id)
+				var r *runner
+				if r, errs[i] = simulate(nil, probs[i].inst, scfg, nil, false); r != nil {
+					results[i] = &r.res.Result
 				}
-			}
-			for _, id := range ev.Stop {
-				if compOfFlow[id] == pi {
-					sub.Stop = append(sub.Stop, id)
-				}
-			}
-			if len(sub.Start) > 0 || len(sub.Stop) > 0 {
-				shardEvents[pi] = append(shardEvents[pi], sub)
-			}
-		}
-	}
-
-	results, err := runDynamicShardProblems(probs, shardEvents, cfg.ShardWorkers)
-	if err != nil {
-		return nil, true, err
-	}
-	plain := make([]*Result, len(results))
-	for i, r := range results {
-		plain[i] = &r.Result
-	}
-	merged := mergeShardResults(cfg, shares, probs, plain)
-	merged.Latency = nil // RunDynamic does not track latency
-	out := &DynamicResult{Result: *merged}
-	out.FinalShares = make(core.SubflowAllocation)
-	for _, r := range results {
-		out.Reallocations += r.Reallocations
-		out.GroupSolves += r.GroupSolves
-		out.GroupReuses += r.GroupReuses
-		for id, s := range r.FinalShares {
-			out.FinalShares[id] = s
-		}
-	}
-	return out, true, nil
-}
-
-func runDynamicShardProblems(probs []*shardProblem, shardEvents [][]FlowEvent, workers int) ([]*DynamicResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(probs) {
-		workers = len(probs)
-	}
-	results := make([]*DynamicResult, len(probs))
-	errs := make([]error, len(probs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := sim.NewEngine()
-			for i := range idx {
-				scfg := probs[i].cfg
-				scfg.eng = eng
-				results[i], errs[i] = RunDynamic(probs[i].inst, scfg, shardEvents[i])
 			}
 		}()
 	}

@@ -328,43 +328,6 @@ func TestShardedResilientEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedDynamicEquivalence pins the churn path: start/stop events
-// hitting flows in both tiles must yield identical delivery statistics
-// sharded and single. (Reallocation counters tally per-shard solves
-// and FinalShares covers each shard's last solve, so only the packet
-// observables are compared.)
-func TestShardedDynamicEquivalence(t *testing.T) {
-	s := tiledFig1(t, 2)
-	events := []netsim.FlowEvent{
-		{At: 0, Start: []flow.ID{"T0:F1", "T1:F1"}},
-		{At: sim.Second, Start: []flow.ID{"T0:F2"}, Stop: []flow.ID{"T1:F1"}},
-		{At: 2 * sim.Second, Start: []flow.ID{"T1:F2"}, Stop: []flow.ID{"T0:F1"}},
-	}
-	for _, p := range []netsim.Protocol{netsim.Protocol80211, netsim.Protocol2PAC} {
-		t.Run(p.String(), func(t *testing.T) {
-			cfg := netsim.Config{
-				Protocol:    p,
-				Duration:    4 * sim.Second,
-				Seed:        21,
-				SampleEvery: sim.Second,
-			}
-			single, err := netsim.RunDynamic(s.Inst, cfg, events)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.ShardSim = true
-			cfg.ShardWorkers = 2
-			sharded, err := netsim.RunDynamic(s.Inst, cfg, events)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := renderDeep(s, &sharded.Result), renderDeep(s, &single.Result); got != want {
-				t.Errorf("sharded dynamic run diverged:\n got: %s\nwant: %s", got, want)
-			}
-		})
-	}
-}
-
 // TestShardedMobilityEquivalence composes sharding with the mobility
 // epoch loops: the same mobile scenario with Net.ShardSim on and off
 // must produce identical epoch and total accounting for both the

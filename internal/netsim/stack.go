@@ -9,9 +9,8 @@ import (
 
 // Stack bundles a ready-to-run protocol stack: engine, medium with
 // schedulers attached per the configured protocol, and the allocation
-// driving them. It lets alternative harnesses (reliable transport,
-// dynamic churn) reuse the exact stack the Table II/III experiments
-// run on.
+// driving them. It lets alternative harnesses (reliable transport)
+// reuse the exact stack the Table II/III experiments run on.
 type Stack struct {
 	Engine *sim.Engine
 	Medium *mac.Medium
@@ -21,16 +20,9 @@ type Stack struct {
 
 // NewStack builds engine, channel, medium and per-node schedulers for
 // the instance under the given config, with the caller's MAC hooks.
+// Without Config.Shares it solves the protocol's shares on fresh
+// allocator state.
 func NewStack(inst *core.Instance, cfg Config, hooks mac.Hooks) (*Stack, error) {
-	return NewStackWith(nil, inst, cfg, hooks)
-}
-
-// NewStackWith is NewStack with a caller-held core.Allocator computing
-// the first-phase shares: repeated stack builds — the mobility epoch
-// loop — reuse LP solver scratch and copy cached shares for group LPs
-// already solved under an earlier instance. A nil allocator behaves
-// exactly like NewStack.
-func NewStackWith(a *core.Allocator, inst *core.Instance, cfg Config, hooks mac.Hooks) (*Stack, error) {
 	cfg = cfg.withDefaults()
 	if inst.Topo == nil {
 		return nil, ErrNeedTopology
@@ -38,7 +30,7 @@ func NewStackWith(a *core.Allocator, inst *core.Instance, cfg Config, hooks mac.
 	shares := cfg.Shares
 	if shares == nil {
 		var err error
-		shares, err = sharesForWith(a, inst, cfg.Protocol)
+		shares, _, _, err = solveShares(nil, inst, cfg.Protocol, false)
 		if err != nil {
 			return nil, err
 		}

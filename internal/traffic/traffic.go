@@ -26,91 +26,114 @@ type CBRConfig struct {
 	Flow         *flow.Flow
 	PacketsPerS  float64
 	PayloadBytes int
-	// Offset staggers the first packet to avoid synchronized sources.
+	// Offset staggers the first packet of a StartCBR source to avoid
+	// synchronized sources.
 	Offset sim.Time
 	// Until stops generation (exclusive); zero means no packets.
 	Until sim.Time
-	// OnSourceDrop is called when the source queue rejects a packet.
-	OnSourceDrop func(p *mac.Packet, now sim.Time)
-	// Route, when set, supplies the path for each emitted packet in
-	// place of the flow's static path — the resilience layer points it
-	// at the flow's current (possibly repaired) route. A returned
-	// path shorter than two nodes falls back to the static path.
-	Route func() []topology.NodeID
-	// OnEmit, when set, observes every emitted packet and whether the
-	// source queue accepted it, before any drop handling.
-	OnEmit func(p *mac.Packet, accepted bool, now sim.Time)
+	// OnEmit, when set, observes every emitted packet: accepted is
+	// false when the source queue rejected it.
+	OnEmit func(accepted bool)
 }
 
-// StartCBR schedules a CBR source onto the engine, injecting packets
-// into the medium at fixed intervals.
-func StartCBR(eng *sim.Engine, medium *mac.Medium, cfg CBRConfig) error {
-	if cfg.PacketsPerS <= 0 {
-		return fmt.Errorf("%w: %g", ErrBadRate, cfg.PacketsPerS)
-	}
-	if cfg.PayloadBytes <= 0 {
-		return fmt.Errorf("traffic: payload must be positive, got %d", cfg.PayloadBytes)
-	}
-	interval := sim.Time(float64(sim.Second) / cfg.PacketsPerS)
-	if interval <= 0 {
-		interval = 1
-	}
-	src := &cbrSource{
-		eng:      eng,
-		medium:   medium,
-		cfg:      cfg,
-		interval: interval,
-		path:     cfg.Flow.Path(),
-	}
-	src.emitFn = src.emit
-	if cfg.Offset >= cfg.Until {
-		return nil
-	}
-	return eng.Schedule(cfg.Offset, phaseInject, src.emitFn)
-}
-
-type cbrSource struct {
+// CBR is a constant-bit-rate source that can be switched on and off.
+// A source switched back on while its next packet is still pending
+// resumes that schedule, so a restart never runs two emission chains.
+type CBR struct {
 	eng      *sim.Engine
 	medium   *mac.Medium
 	cfg      CBRConfig
 	interval sim.Time
 	path     []topology.NodeID
 	seq      int64
+	on       bool
+	pending  bool // an emission is scheduled
 	// emitFn is the bound emit method, created once so the periodic
 	// re-scheduling reuses a single function value.
 	emitFn func()
 }
 
+// NewCBR returns a CBR source that is switched off.
+func NewCBR(eng *sim.Engine, medium *mac.Medium, cfg CBRConfig) (*CBR, error) {
+	if cfg.PacketsPerS <= 0 {
+		return nil, fmt.Errorf("%w: %g", ErrBadRate, cfg.PacketsPerS)
+	}
+	if cfg.PayloadBytes <= 0 {
+		return nil, fmt.Errorf("traffic: payload must be positive, got %d", cfg.PayloadBytes)
+	}
+	interval := sim.Time(float64(sim.Second) / cfg.PacketsPerS)
+	if interval <= 0 {
+		interval = 1
+	}
+	s := &CBR{
+		eng:      eng,
+		medium:   medium,
+		cfg:      cfg,
+		interval: interval,
+		path:     cfg.Flow.Path(),
+	}
+	s.emitFn = s.emit
+	return s, nil
+}
+
+// StartCBR returns a CBR source switched on with its first packet due
+// at cfg.Offset.
+func StartCBR(eng *sim.Engine, medium *mac.Medium, cfg CBRConfig) (*CBR, error) {
+	s, err := NewCBR(eng, medium, cfg)
+	if err != nil || cfg.Offset >= cfg.Until {
+		return s, err
+	}
+	s.on, s.pending = true, true
+	return s, eng.Schedule(cfg.Offset, phaseInject, s.emitFn)
+}
+
+// Start switches the source on, emitting its first packet now unless
+// one is already pending.
+func (s *CBR) Start() {
+	if s.on {
+		return
+	}
+	s.on = true
+	if !s.pending {
+		s.emit()
+	}
+}
+
+// Stop switches the source off; a pending emission is dropped.
+func (s *CBR) Stop() { s.on = false }
+
+// Path returns the route the source's packets take.
+func (s *CBR) Path() []topology.NodeID { return s.path }
+
+// SetPath routes the source's future packets over path.
+func (s *CBR) SetPath(path []topology.NodeID) { s.path = path }
+
 // emit injects one packet and schedules the next arrival. Packets come
 // from the medium's free list; a source-dropped packet goes straight
-// back to it once the drop callback has seen it.
-func (s *cbrSource) emit() {
+// back to it once OnEmit has seen it.
+func (s *CBR) emit() {
+	s.pending = false
+	if !s.on {
+		return
+	}
 	now := s.eng.Now()
 	p := s.medium.AllocPacket()
 	p.Flow = s.cfg.Flow.ID()
 	p.Seq = s.seq
 	p.Path = s.path
-	if s.cfg.Route != nil {
-		if rp := s.cfg.Route(); len(rp) >= 2 {
-			p.Path = rp
-		}
-	}
 	p.PayloadBytes = s.cfg.PayloadBytes
 	p.Born = now
 	s.seq++
 	ok, err := s.medium.Inject(p)
-	accepted := err == nil && ok
 	if s.cfg.OnEmit != nil {
-		s.cfg.OnEmit(p, accepted, now)
+		s.cfg.OnEmit(err == nil && ok)
 	}
 	if err == nil && !ok {
-		if s.cfg.OnSourceDrop != nil {
-			s.cfg.OnSourceDrop(p, now)
-		}
 		s.medium.FreePacket(p)
 	}
 	next := now + s.interval
 	if next < s.cfg.Until {
+		s.pending = true
 		_ = s.eng.Schedule(next, phaseInject, s.emitFn)
 	}
 }

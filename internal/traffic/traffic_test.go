@@ -41,11 +41,11 @@ func setup(t *testing.T, queueCap int) (*sim.Engine, *mac.Medium, *flow.Flow, *i
 
 func TestCBRRateValidation(t *testing.T) {
 	eng, medium, f, _ := setup(t, 50)
-	err := StartCBR(eng, medium, CBRConfig{Flow: f, PacketsPerS: 0, PayloadBytes: 512, Until: sim.Second})
+	_, err := StartCBR(eng, medium, CBRConfig{Flow: f, PacketsPerS: 0, PayloadBytes: 512, Until: sim.Second})
 	if !errors.Is(err, ErrBadRate) {
 		t.Errorf("err = %v", err)
 	}
-	if err := StartCBR(eng, medium, CBRConfig{Flow: f, PacketsPerS: 10, PayloadBytes: 0, Until: sim.Second}); err == nil {
+	if _, err := StartCBR(eng, medium, CBRConfig{Flow: f, PacketsPerS: 10, PayloadBytes: 0, Until: sim.Second}); err == nil {
 		t.Error("zero payload should fail")
 	}
 }
@@ -53,7 +53,7 @@ func TestCBRRateValidation(t *testing.T) {
 func TestCBRGeneratesExpectedCount(t *testing.T) {
 	eng, medium, f, delivered := setup(t, 5000)
 	// 50 packets/s for 2 s, starting at 0: packets at 0, 20ms, …
-	err := StartCBR(eng, medium, CBRConfig{
+	_, err := StartCBR(eng, medium, CBRConfig{
 		Flow: f, PacketsPerS: 50, PayloadBytes: 512, Until: 2 * sim.Second,
 	})
 	if err != nil {
@@ -70,9 +70,13 @@ func TestCBRSourceDropWhenOverloaded(t *testing.T) {
 	drops := 0
 	// 2000 packets/s grossly exceeds the ~350/s link capacity; with a
 	// 5-packet queue most arrivals are source drops.
-	err := StartCBR(eng, medium, CBRConfig{
+	_, err := StartCBR(eng, medium, CBRConfig{
 		Flow: f, PacketsPerS: 2000, PayloadBytes: 512, Until: sim.Second,
-		OnSourceDrop: func(_ *mac.Packet, _ sim.Time) { drops++ },
+		OnEmit: func(accepted bool) {
+			if !accepted {
+				drops++
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +89,7 @@ func TestCBRSourceDropWhenOverloaded(t *testing.T) {
 
 func TestCBROffsetAfterUntil(t *testing.T) {
 	eng, medium, f, delivered := setup(t, 50)
-	err := StartCBR(eng, medium, CBRConfig{
+	_, err := StartCBR(eng, medium, CBRConfig{
 		Flow: f, PacketsPerS: 10, PayloadBytes: 512,
 		Offset: 2 * sim.Second, Until: sim.Second,
 	})
@@ -95,5 +99,36 @@ func TestCBROffsetAfterUntil(t *testing.T) {
 	eng.Run(5 * sim.Second)
 	if *delivered != 0 {
 		t.Errorf("no packets expected, got %d", *delivered)
+	}
+}
+
+// TestCBRStopStart switches a 10 pkt/s source on at 0, restarts it
+// before its pending packet (stop 0.55 s, start 0.56 s) and within one
+// instant (1.0 s), and stops it for good at 1.45 s: one emission chain
+// throughout, packets at 0.0, 0.1, …, 1.4.
+func TestCBRStopStart(t *testing.T) {
+	eng, medium, f, delivered := setup(t, 5000)
+	s, err := NewCBR(eng, medium, CBRConfig{Flow: f, PacketsPerS: 10, PayloadBytes: 512, Until: 2 * sim.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []struct {
+		at sim.Time
+		fn func()
+	}{
+		{0, s.Start},
+		{550 * sim.Millisecond, s.Stop},
+		{560 * sim.Millisecond, s.Start},
+		{sim.Second, s.Stop},
+		{sim.Second, s.Start},
+		{1450 * sim.Millisecond, s.Stop},
+	} {
+		if err := eng.Schedule(ev.at, phaseInject, ev.fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run(5 * sim.Second)
+	if *delivered != 15 {
+		t.Errorf("delivered %d packets, want 15", *delivered)
 	}
 }
