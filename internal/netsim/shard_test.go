@@ -328,6 +328,29 @@ func TestShardedResilientEquivalence(t *testing.T) {
 	}
 }
 
+// mobilityConfig is a mobile scenario of 30 nodes roaming a square of
+// the given side in metres, wide enough that its epochs span several
+// radio components. At 3000 m every flow is unreachable in every
+// epoch; at 1500 m most flows route and deliver.
+func mobilityConfig(rebuild bool, side float64) mobility.Config {
+	return mobility.Config{
+		Nodes: 30,
+		Waypoint: mobility.WaypointConfig{
+			Width: side, Height: side, MinSpeed: 1, MaxSpeed: 15, MaxPause: sim.Second,
+		},
+		Flows: []mobility.FlowSpec{
+			{ID: "F1", Src: 0, Dst: 10},
+			{ID: "F2", Src: 5, Dst: 15},
+			{ID: "F3", Src: 2, Dst: 25, Weight: 2},
+		},
+		Protocol: netsim.Protocol2PAC,
+		Epoch:    5 * sim.Second,
+		Duration: 25 * sim.Second,
+		Seed:     17,
+		Rebuild:  rebuild,
+	}
+}
+
 // TestShardedMobilityEquivalence composes sharding with the mobility
 // epoch loops: the same mobile scenario with Net.ShardSim on and off
 // must produce identical epoch and total accounting for both the
@@ -335,23 +358,9 @@ func TestShardedResilientEquivalence(t *testing.T) {
 // incrementally across epochs.
 func TestShardedMobilityEquivalence(t *testing.T) {
 	base := func(rebuild, shard bool) mobility.Config {
-		return mobility.Config{
-			Nodes: 30,
-			Waypoint: mobility.WaypointConfig{
-				Width: 3000, Height: 3000, MinSpeed: 1, MaxSpeed: 15, MaxPause: sim.Second,
-			},
-			Flows: []mobility.FlowSpec{
-				{ID: "F1", Src: 0, Dst: 10},
-				{ID: "F2", Src: 5, Dst: 15},
-				{ID: "F3", Src: 2, Dst: 25, Weight: 2},
-			},
-			Protocol: netsim.Protocol2PAC,
-			Epoch:    5 * sim.Second,
-			Duration: 25 * sim.Second,
-			Seed:     17,
-			Rebuild:  rebuild,
-			Net:      netsim.Config{ShardSim: shard},
-		}
+		cfg := mobilityConfig(rebuild, 1500)
+		cfg.Net.ShardSim = shard
+		return cfg
 	}
 	for _, rebuild := range []bool{false, true} {
 		plain, err := mobility.Run(base(rebuild, false))
