@@ -32,8 +32,8 @@ bench-alloc: build
 	$(GO) run ./cmd/benchtables -only alloc -json BENCH_alloc.json
 
 # MAC/PHY datapath perf trajectory: full-stack simulation rate
-# (simSec/s), channel accounting, and steady-state allocations per
-# delivered packet (must stay ~0), written to BENCH_mac.json.
+# (simSec/s), channel accounting, and whole-run allocations per
+# delivered packet, written to BENCH_mac.json.
 bench-mac: build
 	$(GO) run ./cmd/benchtables -only mac -json BENCH_mac.json
 
@@ -44,11 +44,10 @@ bench-mac: build
 bench-topo: build
 	$(GO) run ./cmd/benchtables -only topo -json BENCH_topo.json
 
-# Component-sharded simulator perf trajectory: simSec/s (best of 3) and
-# steady-state allocations per delivered packet on the eight-tile
-# Figure 6 workload, for the single-engine baseline and 1/4/8-worker
-# sharded pools, written to BENCH_sim.json. Delivered-packet counts must
-# match across all four rows (byte-identical sharding).
+# Simulator perf trajectory on eight disjoint Figure 6 tiles, which the
+# default netsim.Run shards by radio component: simSec/s (best of 3)
+# and whole-run allocations per delivered packet, written to
+# BENCH_sim.json.
 bench-sim: build
 	$(GO) run ./cmd/benchtables -only sim -json BENCH_sim.json
 

@@ -446,7 +446,7 @@ func BenchmarkCliquesContaining128(b *testing.B) {
 }
 
 // BenchmarkParallelSweep compares a (scenario × protocol × seed) sweep
-// run sequentially against the RunParallel worker pool. On a
+// run job by job through Run against the RunParallel worker pool. On a
 // multi-core host the parallel variant approaches linear scaling; the
 // determinism test in internal/netsim pins both to identical results.
 func BenchmarkParallelSweep(b *testing.B) {
@@ -460,14 +460,16 @@ func BenchmarkParallelSweep(b *testing.B) {
 	)
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := netsim.RunParallel(jobs, 1); err != nil {
-				b.Fatal(err)
+			for _, job := range jobs {
+				if _, err := netsim.Run(job.Inst, job.Cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := netsim.RunParallel(jobs, 0); err != nil {
+			if _, err := netsim.RunParallel(jobs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -489,55 +491,40 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	b.ReportMetric(benchSimDur.Seconds()*float64(b.N)/b.Elapsed().Seconds(), "simSec/s")
 }
 
-// benchShardTiles is the component count of the sharding benchmark
-// scenario: eight disjoint Figure 6 tiles, so an 8-way worker pool can
-// run every radio component concurrently.
-const benchShardTiles = 8
+// benchSimTiles is the component count of the tiled simulator
+// benchmark: eight disjoint Figure 6 tiles, which Run shards into
+// eight engines.
+const benchSimTiles = 8
 
-// mustTiled builds the multi-component sharding workload: disjoint
-// copies of Figure 6 spaced beyond interference range.
-func mustTiled(b *testing.B, copies int) *scenario.Scenario {
-	b.Helper()
+// benchSimTiledDur keeps the tiled runs (8× the Figure 6 event volume)
+// at roughly the single-tile benchmark's wall-clock per iteration.
+const benchSimTiledDur = 10 * sim.Second
+
+// BenchmarkSimulatorEventRateTiled measures the default Run on eight
+// disjoint Figure 6 tiles, one radio component each, with a Sharder
+// reused across iterations as mobility.Run reuses one across epochs.
+func BenchmarkSimulatorEventRateTiled(b *testing.B) {
 	base := mustScenario(b, scenario.Figure6)
-	sc, err := scenario.Tiled(base, copies)
+	sc, err := scenario.Tiled(base, benchSimTiles)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sc
-}
-
-// benchSimShardDur keeps the tiled runs (8× the Figure 6 event volume)
-// at roughly the single-tile benchmark's wall-clock per iteration.
-const benchSimShardDur = 10 * sim.Second
-
-func benchSimulatorSharded(b *testing.B, workers int) {
-	sc := mustTiled(b, benchShardTiles)
 	sh := netsim.NewSharder()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var delivered int64
 	for i := 0; i < b.N; i++ {
 		r, err := netsim.Run(sc.Inst, netsim.Config{
-			Protocol: netsim.Protocol2PAC, Duration: benchSimShardDur, Seed: 1,
-			ShardSim: workers > 0, ShardWorkers: workers, Sharder: sh,
+			Protocol: netsim.Protocol2PAC, Duration: benchSimTiledDur, Seed: 1, Sharder: sh,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		delivered = r.Stats.TotalEndToEnd()
 	}
-	b.ReportMetric(benchSimShardDur.Seconds()*float64(b.N)/b.Elapsed().Seconds(), "simSec/s")
+	b.ReportMetric(benchSimTiledDur.Seconds()*float64(b.N)/b.Elapsed().Seconds(), "simSec/s")
 	b.ReportMetric(float64(delivered), "pkt/run")
 }
-
-// BenchmarkSimulatorEventRateMulti is the single-engine baseline on
-// the eight-component tiled scenario; the Sharded variants below run
-// the identical workload (byte-identical results) on 1, 4, and 8
-// worker engines.
-func BenchmarkSimulatorEventRateMulti(b *testing.B)    { benchSimulatorSharded(b, 0) }
-func BenchmarkSimulatorEventRateSharded1(b *testing.B) { benchSimulatorSharded(b, 1) }
-func BenchmarkSimulatorEventRateSharded4(b *testing.B) { benchSimulatorSharded(b, 4) }
-func BenchmarkSimulatorEventRateSharded8(b *testing.B) { benchSimulatorSharded(b, 8) }
 
 // benchMACNodes is the dense random topology size for the MAC
 // micro-benchmarks: large enough that interference rows span multiple

@@ -65,14 +65,23 @@ type Report struct {
 	Sections      []*Section `json:"sections"`
 }
 
-// gitSHA stamps reports with the commit the numbers were taken at;
-// empty (and omitted from the JSON) outside a git checkout.
+// gitSHA stamps reports with the commit the numbers were taken at,
+// suffixed -dirty when the working tree has uncommitted changes other
+// than BENCH_*.json reports; empty (and omitted from the JSON) outside
+// a git checkout.
 func gitSHA() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	sha := strings.TrimSpace(string(out))
+	// The BENCH_*.json reports are this command's own output; writing
+	// one must not mark the next report dirty.
+	st, err := exec.Command("git", "status", "--porcelain", "--", ":/", ":(top,exclude)BENCH_*.json").Output()
+	if err == nil && len(st) > 0 {
+		sha += "-dirty"
+	}
+	return sha
 }
 
 // Section is one table or figure of the report.
@@ -414,7 +423,7 @@ func randomSweep(durationSec float64, seed int64, sec *Section) error {
 	protocols := []netsim.Protocol{netsim.Protocol80211, netsim.ProtocolTwoTier, netsim.Protocol2PAC}
 	seeds := []int64{seed, seed + 1, seed + 2, seed + 3}
 	jobs := netsim.SweepJobs([]*core.Instance{last.Inst}, netsim.Config{Duration: simDur}, protocols, seeds)
-	results, err := netsim.RunParallel(jobs, 0)
+	results, err := netsim.RunParallel(jobs)
 	if err != nil {
 		return err
 	}
@@ -897,19 +906,27 @@ func allocSection(_ float64, seed int64, sec *Section) error {
 	return nil
 }
 
+// measuredRun runs one simulation with the clock and the heap's malloc
+// counter read around it. Callers divide summed mallocs by summed
+// delivered packets, perfbench's sim.allocs_per_pkt definition: the
+// whole run, stack construction included, so it is never negative.
+func measuredRun(inst *core.Instance, cfg netsim.Config) (r *netsim.Result, wall, mallocs float64, err error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	r, err = netsim.Run(inst, cfg)
+	wall = time.Since(start).Seconds()
+	runtime.ReadMemStats(&after)
+	return r, wall, float64(after.Mallocs - before.Mallocs), err
+}
+
 // macSection measures the MAC/PHY packet-datapath fast path: the
 // wall-clock simulation rate of full protocol stacks on the paper's
-// scenarios, channel accounting, and the steady-state heap allocations
-// per delivered packet — which the bitset/free-list datapath keeps at
-// zero. Emitted to BENCH_mac.json by `make bench-mac`.
+// scenarios, channel accounting, and heap allocations per delivered
+// packet. Emitted to BENCH_mac.json by `make bench-mac`.
 func macSection(_ float64, seed int64, sec *Section) error {
 	fmt.Println("== MAC/PHY datapath fast path ==")
-	timedRun := func(sc *scenario.Scenario, p netsim.Protocol, dur sim.Time) (*netsim.Result, float64, error) {
-		start := time.Now()
-		r, err := netsim.Run(sc.Inst, netsim.Config{Protocol: p, Duration: dur, Seed: seed})
-		return r, time.Since(start).Seconds(), err
-	}
-
 	const rateDur = 30 * sim.Second
 	for _, c := range []struct {
 		name  string
@@ -923,66 +940,37 @@ func macSection(_ float64, seed int64, sec *Section) error {
 		if err != nil {
 			return err
 		}
+		cfg := netsim.Config{Protocol: c.p, Duration: sim.Second, Seed: seed}
 		// Warm once so the timed run sees steady-state code paths.
-		if _, _, err := timedRun(sc, c.p, sim.Second); err != nil {
+		if _, err := netsim.Run(sc.Inst, cfg); err != nil {
 			return err
 		}
-		r, wall, err := timedRun(sc, c.p, rateDur)
+		cfg.Duration = rateDur
+		r, wall, mallocs, err := measuredRun(sc.Inst, cfg)
 		if err != nil {
 			return err
 		}
 		rate := rateDur.Seconds() / wall
-		fmt.Printf("%-12s %8.0f simSec/s  util=%.3f collisionOverhead=%.3f\n",
-			c.name, rate, r.Airtime.Utilization(), r.Airtime.CollisionOverhead())
+		perPkt := mallocs / float64(max(r.Stats.TotalEndToEnd(), 1))
+		fmt.Printf("%-12s %8.0f simSec/s  util=%.3f collisionOverhead=%.3f  %.3f allocs/delivered pkt\n",
+			c.name, rate, r.Airtime.Utilization(), r.Airtime.CollisionOverhead(), perPkt)
 		sec.add(c.name, map[string]float64{
-			"simSecPerS":        rate,
-			"utilization":       r.Airtime.Utilization(),
-			"collisionOverhead": r.Airtime.CollisionOverhead(),
+			"simSecPerS":         rate,
+			"utilization":        r.Airtime.Utilization(),
+			"collisionOverhead":  r.Airtime.CollisionOverhead(),
+			"allocsPerDelivered": perPkt,
 		})
 	}
-
-	// Steady-state allocations per delivered packet: a short and a long
-	// run differ only in simulated traffic, so the identical per-run
-	// stack construction cancels out of the malloc-count difference.
-	sc, err := scenario.Figure6()
-	if err != nil {
-		return err
-	}
-	measure := func(dur sim.Time) (mallocs, delivered float64, err error) {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		r, err := netsim.Run(sc.Inst, netsim.Config{Protocol: netsim.Protocol2PAC, Duration: dur, Seed: seed})
-		if err != nil {
-			return 0, 0, err
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs - before.Mallocs), float64(r.Stats.TotalEndToEnd()), nil
-	}
-	mShort, pShort, err := measure(5 * sim.Second)
-	if err != nil {
-		return err
-	}
-	mLong, pLong, err := measure(25 * sim.Second)
-	if err != nil {
-		return err
-	}
-	perPkt := (mLong - mShort) / (pLong - pShort)
-	fmt.Printf("steady-state allocations:        %10.3f allocs/delivered pkt (fig6 2PA-C)\n", perPkt)
-	sec.add("allocs", map[string]float64{"perDeliveredPkt": perPkt})
 	return nil
 }
 
-// simSection measures the component-sharded packet simulator on the
-// eight-tile Figure 6 workload: wall-clock simulation rate (best of
-// three runs) and steady-state allocations per delivered packet for
-// the single-engine baseline and 1/4/8-worker sharded pools. All four
-// configurations produce byte-identical results; on a single-core host
-// the worker pools serialize, so the sharded rows then measure the
-// partitioning overhead plus the smaller-heap win rather than parallel
-// speedup. Emitted to BENCH_sim.json by `make bench-sim`.
+// simSection measures the default netsim.Run on the eight-tile Figure
+// 6 workload, which it shards by radio component: wall-clock
+// simulation rate (best of three runs) and heap allocations per
+// delivered packet over those runs. Emitted to BENCH_sim.json by
+// `make bench-sim`.
 func simSection(_ float64, seed int64, sec *Section) error {
-	fmt.Println("== Component-sharded packet simulation (8 disjoint Fig. 6 tiles) ==")
+	fmt.Println("== Packet simulation on 8 disjoint Fig. 6 tiles ==")
 	base, err := scenario.Figure6()
 	if err != nil {
 		return err
@@ -991,68 +979,33 @@ func simSection(_ float64, seed int64, sec *Section) error {
 	if err != nil {
 		return err
 	}
-	const rateDur = 10 * sim.Second
-	for _, workers := range []int{0, 1, 4, 8} {
-		label := "single-engine"
-		if workers > 0 {
-			label = fmt.Sprintf("sharded-%dw", workers)
-		}
-		sh := netsim.NewSharder()
-		cfg := func(dur sim.Time) netsim.Config {
-			return netsim.Config{
-				Protocol: netsim.Protocol2PAC, Duration: dur, Seed: seed,
-				ShardSim: workers > 0, ShardWorkers: workers, Sharder: sh,
-			}
-		}
-		// Warm the sharder cache and code paths off the clock.
-		if _, err := netsim.Run(sc.Inst, cfg(sim.Second)); err != nil {
-			return err
-		}
-		best := math.Inf(1)
-		var delivered int64
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			r, err := netsim.Run(sc.Inst, cfg(rateDur))
-			if err != nil {
-				return err
-			}
-			if wall := time.Since(start).Seconds(); wall < best {
-				best = wall
-			}
-			delivered = r.Stats.TotalEndToEnd()
-		}
-		rate := rateDur.Seconds() / best
-		// Steady-state allocations per delivered packet, short/long
-		// difference so per-run construction cancels out.
-		measure := func(dur sim.Time) (mallocs, pkts float64, err error) {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			r, err := netsim.Run(sc.Inst, cfg(dur))
-			if err != nil {
-				return 0, 0, err
-			}
-			runtime.ReadMemStats(&after)
-			return float64(after.Mallocs - before.Mallocs), float64(r.Stats.TotalEndToEnd()), nil
-		}
-		mShort, pShort, err := measure(5 * sim.Second)
-		if err != nil {
-			return err
-		}
-		mLong, pLong, err := measure(25 * sim.Second)
-		if err != nil {
-			return err
-		}
-		perPkt := (mLong - mShort) / (pLong - pShort)
-		fmt.Printf("%-14s %8.1f simSec/s   %8.3f allocs/delivered pkt   (%d pkt/run)\n",
-			label, rate, perPkt, delivered)
-		sec.add(label, map[string]float64{
-			"workers":            float64(workers),
-			"simSecPerS":         rate,
-			"allocsPerDelivered": perPkt,
-			"deliveredPkt":       float64(delivered),
-		})
+	cfg := netsim.Config{Protocol: netsim.Protocol2PAC, Duration: sim.Second, Seed: seed}
+	// Warm the code paths off the clock.
+	if _, err := netsim.Run(sc.Inst, cfg); err != nil {
+		return err
 	}
+	cfg.Duration = 10 * sim.Second
+	best := math.Inf(1)
+	var mallocs float64
+	var delivered, total int64
+	for rep := 0; rep < 3; rep++ {
+		r, wall, m, err := measuredRun(sc.Inst, cfg)
+		if err != nil {
+			return err
+		}
+		best = min(best, wall)
+		mallocs += m
+		delivered = r.Stats.TotalEndToEnd()
+		total += delivered
+	}
+	rate := cfg.Duration.Seconds() / best
+	perPkt := mallocs / float64(max(total, 1))
+	fmt.Printf("%8.1f simSec/s   %8.3f allocs/delivered pkt   (%d pkt/run)\n", rate, perPkt, delivered)
+	sec.add("tiled8-2pa-c", map[string]float64{
+		"simSecPerS":         rate,
+		"allocsPerDelivered": perPkt,
+		"deliveredPkt":       float64(delivered),
+	})
 	return nil
 }
 

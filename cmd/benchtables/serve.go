@@ -86,7 +86,7 @@ func serveSection(_ float64, seed int64, sec *Section) error {
 
 	// Batched engine: the same remove/re-register churn enqueued
 	// asynchronously, coalesced per shard into ≤64-event batches.
-	eng, err := serve.New(serve.Config{Topo: topo, MaxBatch: maxBatch, Workers: 1})
+	eng, err := serve.New(serve.Config{Topo: topo, MaxBatch: maxBatch})
 	if err != nil {
 		return err
 	}
@@ -292,7 +292,7 @@ func benchRecovery(target int) (events int, seconds float64, err error) {
 		return 0, 0, err
 	}
 	t0 := time.Now()
-	eng, err := serve.New(serve.Config{Topo: topo, Workers: 1, Durable: store2})
+	eng, err := serve.New(serve.Config{Topo: topo, Durable: store2})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -71,7 +71,6 @@ func run(args []string, out io.Writer, ready chan<- string, sigs <-chan os.Signa
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	window := fs.Duration("window", 0, "batch window shards hold open to coalesce churn (0 = drain-greedy)")
 	maxBatch := fs.Int("max-batch", 0, "max events per Instance rebuild (0 = unlimited)")
-	workers := fs.Int("workers", 0, "LP workers per shard allocator (0 = sequential)")
 	cacheCap := fs.Int("cache-cap", 0, "group-share cache entries per shard (0 = default)")
 	maxFlows := fs.Int("max-flows", 0, "admission: max live flows per shard (0 = unlimited)")
 	minShare := fs.Float64("min-share", 0, "admission: reject registers pushing the basic share below this")
@@ -121,7 +120,6 @@ func run(args []string, out io.Writer, ready chan<- string, sigs <-chan os.Signa
 		Topo:     topo,
 		Window:   *window,
 		MaxBatch: *maxBatch,
-		Workers:  *workers,
 		CacheCap: *cacheCap,
 		MaxFlows: *maxFlows,
 		MinShare: *minShare,

@@ -287,7 +287,6 @@ type transition struct {
 // can verify that each loss is attributed downstream.
 type Injector struct {
 	n           int
-	seed        int64
 	rngs        []xrand.Rand
 	defaultLoss float64
 	lossy       bool
@@ -321,7 +320,6 @@ func (p *Plan) Compile(numNodes int) (*Injector, error) {
 	}
 	in := &Injector{
 		n:           numNodes,
-		seed:        p.Seed,
 		rngs:        make([]xrand.Rand, numNodes),
 		defaultLoss: p.DefaultLoss,
 		loss:        make(map[uint64]float64, len(p.LinkLoss)),
@@ -382,27 +380,10 @@ func (p *Plan) Compile(numNodes int) (*Injector, error) {
 	sort.SliceStable(in.transitions, func(i, j int) bool {
 		return in.transitions[i].at < in.transitions[j].at
 	})
-	in.SetNodeIDs(nil)
-	return in, nil
-}
-
-// SetNodeIDs re-seeds the per-transmitter loss streams with global
-// node identities: local node i draws from stream
-// NodeStream(plan.Seed, ids[i]). Sharded harnesses call this so a
-// transmitter's corruption draws match the whole-network run; nil
-// restores the identity mapping. Call before the engine runs.
-func (in *Injector) SetNodeIDs(ids []int32) error {
-	if ids != nil && len(ids) != in.n {
-		return fmt.Errorf("%w: NodeIDs length %d != %d nodes", ErrBadPlan, len(ids), in.n)
-	}
 	for i := range in.rngs {
-		gid := uint64(i)
-		if ids != nil {
-			gid = uint64(ids[i])
-		}
-		in.rngs[i] = xrand.NodeStream(in.seed, gid)
+		in.rngs[i] = xrand.NodeStream(p.Seed, uint64(i))
 	}
-	return nil
+	return in, nil
 }
 
 // Lossy reports whether any loss rate is configured.
@@ -412,8 +393,8 @@ func (in *Injector) Lossy() bool { return in.lossy }
 // transmitter's private stream whenever the tx-rx link has a positive
 // loss rate, and counts each injected corruption. Keying the stream to
 // the transmitter (rather than one shared injector stream) makes the
-// draw sequence depend only on that node's own transmission order, so
-// component-sharded runs replay the whole-network draws exactly.
+// draw sequence depend only on that node's own transmission order, not
+// on how other nodes' events interleave with it.
 func (in *Injector) Corrupted(tx, rx int, _ int) bool {
 	if !in.lossy {
 		return false

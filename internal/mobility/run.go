@@ -118,7 +118,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Net.ShardSim && cfg.Net.Sharder == nil {
+	if cfg.Net.Sharder == nil {
 		// One sharder spans the whole run: epochs that leave a radio
 		// component's adjacency untouched reuse its cached sub-topology
 		// instead of re-deriving it, so mobility re-shards incrementally.

@@ -37,7 +37,7 @@ func TestParallelSweep1kNodes(t *testing.T) {
 		[]netsim.Protocol{netsim.Protocol80211, netsim.Protocol2PAC},
 		[]int64{1, 2},
 	)
-	par, err := netsim.RunParallel(jobs, 0)
+	par, err := netsim.RunParallel(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,8 @@ func (p Protocol) String() string {
 var ErrNeedTopology = errors.New("netsim: instance has no geometric topology")
 
 // Config parameterizes a simulation run. Zero fields take the paper's
-// defaults.
+// defaults. No field selects the engine: Run shards a topology of two
+// or more radio components unless Tracer, Fault or Watchdog is set.
 type Config struct {
 	Protocol     Protocol
 	Duration     sim.Time // simulated time; default 1000 s
@@ -98,24 +99,10 @@ type Config struct {
 	// break i hops from the flow's source starts i·RERRHopDelay after
 	// the link-dead signal (default 1 ms).
 	RERRHopDelay sim.Time
-	// ShardSim partitions the topology into interference-disjoint
-	// radio components and simulates each on its own event engine over
-	// a worker pool. Per-node RNG streams are derived from the run
-	// seed and the node's global ID, so the sharded run is
-	// byte-identical to the single-engine run. Runs with fewer than
-	// shardMinComponents components — and traced runs, whose tracer
-	// would interleave events from concurrent engines — fall back to
-	// the exact single-engine path. RunDynamic always runs on one
-	// engine.
-	ShardSim bool
-	// ShardWorkers bounds the shard worker pool; <= 0 selects
-	// GOMAXPROCS. Results are merged in component order, so the worker
-	// count never changes the outcome.
-	ShardWorkers int
-	// Sharder, when set, caches induced sub-topologies across runs
-	// keyed by component fingerprint: a mobility epoch that moves one
-	// component rebuilds that shard only. Nil builds ephemeral shards
-	// per run.
+	// Sharder, when set, caches the induced sub-topologies of sharded
+	// runs (see Run) keyed by component fingerprint: a mobility epoch
+	// that moves one component rebuilds that shard only. Nil builds
+	// ephemeral shards per run. It never changes a result.
 	Sharder *Sharder
 	// Twin enables analytical-twin screening of mobility.Run epochs:
 	// each epoch is priced with the closed-form internal/twin estimator
@@ -193,7 +180,14 @@ type Result struct {
 	Resilience *ResilienceReport
 }
 
-// Run executes one simulation.
+// Run executes one simulation. A run whose topology has at least two
+// radio components, and which has no Tracer, no Fault plan and the
+// Watchdog off, is sharded: each component is simulated on its own
+// event engine over a GOMAXPROCS worker pool and the results merged.
+// Components out of interference range never contend, and every
+// random draw comes from a per-node stream keyed by the node's global
+// ID, so the sharded result is byte-identical to the single engine's.
+// Every other run takes the single engine.
 func Run(inst *core.Instance, cfg Config) (*Result, error) {
 	return RunWith(nil, inst, cfg)
 }
@@ -201,11 +195,11 @@ func Run(inst *core.Instance, cfg Config) (*Result, error) {
 // RunWith is Run with a caller-held core.Allocator for the first-phase
 // shares, letting epoch loops (mobility.Run) reuse one allocator's
 // solver scratch and group share cache across many runs. A nil
-// allocator behaves exactly like Run.
+// allocator behaves exactly like Run, and RunWith shards as Run does.
 func RunWith(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if r, ok, err := runSharded(a, inst, cfg); ok {
-		return r, err
+	if sh := planShards(inst, cfg); sh != nil {
+		return runSharded(a, inst, cfg, sh)
 	}
 	r, err := simulate(a, inst, cfg, nil, false)
 	if err != nil {

@@ -37,25 +37,16 @@ func SweepJobs(insts []*core.Instance, cfg Config, protocols []Protocol, seeds [
 	return jobs
 }
 
-// RunParallel executes the jobs across a pool of workers and returns
-// results in job order: results[i] is the outcome of jobs[i]
+// RunParallel executes the jobs across a GOMAXPROCS worker pool and
+// returns results in job order: results[i] is the outcome of jobs[i]
 // regardless of which worker ran it or when it finished, so a parallel
-// sweep is bit-identical to running the jobs sequentially. workers <= 0
-// selects GOMAXPROCS. On failure the error of the lowest-indexed
-// failing job is returned (also deterministic). Configs carrying a
-// shared Tracer must not be fanned out: a tracer would interleave
-// events from concurrent engines.
-func RunParallel(jobs []Job, workers int) ([]*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+// sweep is bit-identical to running the jobs sequentially. On failure
+// the error of the lowest-indexed failing job is returned (also
+// deterministic). Configs carrying a shared Tracer must not be fanned
+// out: a tracer would interleave events from concurrent engines.
+func RunParallel(jobs []Job) ([]*Result, error) {
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	results := make([]*Result, len(jobs))
-	if len(jobs) == 0 {
-		return results, nil
-	}
 	errs := make([]error, len(jobs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -97,5 +88,5 @@ func RunAllParallel(inst *core.Instance, cfg Config, protocols ...Protocol) ([]*
 		c.Protocol = p
 		jobs[i] = Job{Inst: inst, Cfg: c}
 	}
-	return RunParallel(jobs, 0)
+	return RunParallel(jobs)
 }

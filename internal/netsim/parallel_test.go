@@ -84,7 +84,7 @@ func TestSweepJobsOrder(t *testing.T) {
 }
 
 // TestRunParallelSeedSweep checks a multi-seed sweep against the same
-// jobs run one at a time on a single worker.
+// jobs run one at a time.
 func TestRunParallelSeedSweep(t *testing.T) {
 	sc, err := scenario.Figure1()
 	if err != nil {
@@ -96,16 +96,16 @@ func TestRunParallelSeedSweep(t *testing.T) {
 		[]netsim.Protocol{netsim.Protocol2PAC},
 		[]int64{1, 2, 3, 4},
 	)
-	seq, err := netsim.RunParallel(jobs, 1)
+	par, err := netsim.RunParallel(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := netsim.RunParallel(jobs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if !reflect.DeepEqual(seq[i], par[i]) {
+	for i, job := range jobs {
+		seq, err := netsim.Run(job.Inst, job.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par[i]) {
 			t.Errorf("job %d: parallel diverged from sequential", i)
 		}
 	}
@@ -118,7 +118,7 @@ func TestRunParallelSeedSweep(t *testing.T) {
 
 // TestRunParallelEmpty covers the zero-job edge.
 func TestRunParallelEmpty(t *testing.T) {
-	res, err := netsim.RunParallel(nil, 0)
+	res, err := netsim.RunParallel(nil)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("res = %v, err = %v", res, err)
 	}

@@ -102,14 +102,6 @@ func simulate(a *core.Allocator, inst *core.Instance, cfg Config, events []FlowE
 		if err != nil {
 			return nil, err
 		}
-		// Shard runs re-seed the per-transmitter loss streams with the
-		// nodes' global identities so the draws replay the
-		// whole-network run.
-		if cfg.nodeIDs != nil {
-			if err := inj.SetNodeIDs(cfg.nodeIDs); err != nil {
-				return nil, err
-			}
-		}
 		r.inj = inj
 		r.organic = make(map[uint64]bool)
 		r.keepFn = r.linkAlive

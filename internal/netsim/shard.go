@@ -7,18 +7,12 @@ import (
 	"sync"
 
 	"e2efair/internal/core"
-	"e2efair/internal/fault"
 	"e2efair/internal/flow"
 	"e2efair/internal/mac"
 	"e2efair/internal/sim"
 	"e2efair/internal/stats"
 	"e2efair/internal/topology"
 )
-
-// shardMinComponents is the cutoff below which sharding is pure
-// overhead: with one component there is nothing to parallelize, and
-// the single-engine path is kept exactly as-is.
-const shardMinComponents = 2
 
 // Sharder partitions a topology into interference-disjoint radio
 // components and caches the induced sub-topology of each component
@@ -65,8 +59,8 @@ func (s *Sharder) subTopo(t *topology.Topology, members []topology.NodeID, fp ui
 }
 
 // shardProblem is one component's fully prepared sub-run: the induced
-// instance plus a config carrying the sliced shares, the filtered
-// fault plan, and the local→global node and flow index maps.
+// instance plus a config carrying the sliced shares and the
+// local→global node and flow index maps.
 type shardProblem struct {
 	comp    int
 	members []topology.NodeID
@@ -74,12 +68,32 @@ type shardProblem struct {
 	cfg     Config
 }
 
-// runSharded dispatches a Config.ShardSim run: partition, solve the
-// first phase once over the whole instance, run one single-engine
-// sub-run per radio component on a worker pool, and merge. The bool
-// reports whether sharding applied; false means the caller should take
-// the single-engine path (sharding disabled, a tracer attached, or too
-// few components).
+// planShards returns the sharder holding the run's radio components
+// when the run shards, and nil when it takes the single engine. A run
+// shards exactly when its topology has at least two radio components
+// and it has no tracer, fault plan or watchdog: a tracer would
+// interleave events from concurrent engines, and a fault or watchdog
+// run re-solves and checks invariants over the whole network, so its
+// counters would change if each component ran its own coordinator. A
+// run without flows has nothing to split.
+func planShards(inst *core.Instance, cfg Config) *Sharder {
+	if cfg.Tracer != nil || cfg.Fault != nil || cfg.Watchdog || inst.Topo == nil || inst.Flows.Len() == 0 {
+		return nil
+	}
+	sh := cfg.Sharder
+	if sh == nil {
+		sh = NewSharder()
+	}
+	inst.Topo.AppendRadioComponents(&sh.comps)
+	if sh.comps.Len() < 2 {
+		return nil
+	}
+	return sh
+}
+
+// runSharded partitions the run by radio component, solves the first
+// phase once over the whole instance, runs one single-engine sub-run
+// per component on a GOMAXPROCS worker pool, and merges.
 //
 // Byte-identity with the single-engine run rests on three invariants:
 // interference-closed components never exchange MAC events; every
@@ -88,68 +102,35 @@ type shardProblem struct {
 // and CBR stagger offsets are keyed to global flow indices. Merge
 // order is component order, so the worker count never changes the
 // result.
-func runSharded(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, bool, error) {
-	if !cfg.ShardSim || cfg.Tracer != nil || inst.Topo == nil {
-		return nil, false, nil
-	}
-	sh := cfg.Sharder
-	if sh == nil {
-		sh = NewSharder()
-	}
-	inst.Topo.AppendRadioComponents(&sh.comps)
-	if sh.comps.Len() < shardMinComponents {
-		return nil, false, nil
-	}
-	resilient := cfg.Fault != nil || cfg.Watchdog
-	if cfg.Fault != nil {
-		// Validate the whole plan up front so an invalid plan fails
-		// exactly as it would on the single-engine path, before any
-		// per-shard filtering could mask the offending entry.
-		if _, err := cfg.Fault.Compile(inst.Topo.NumNodes()); err != nil {
-			return nil, true, err
-		}
-	}
-
+func runSharded(a *core.Allocator, inst *core.Instance, cfg Config, sh *Sharder) (*Result, error) {
 	// Hoist the first-phase solve: one whole-instance allocation,
 	// sliced into each shard. Group LPs never span radio components
 	// (contention needs interference proximity), so the slice equals
 	// what a per-shard solve would produce — but solving once keeps the
 	// allocator's delta/cache behavior identical to the single path.
 	shares := cfg.Shares
-	var initDelta core.Delta
-	initDegraded := false
 	if shares == nil && cfg.Protocol != Protocol80211 {
 		var err error
-		shares, initDelta, initDegraded, err = solveShares(a, inst, cfg.Protocol, resilient)
-		if err != nil {
-			return nil, true, err
+		if shares, _, _, err = solveShares(a, inst, cfg.Protocol, false); err != nil {
+			return nil, err
 		}
 	}
-
-	probs, err := buildShardProblems(sh, inst, cfg, shares, resilient)
+	probs, err := buildShardProblems(sh, inst, cfg, shares)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	results, err := runShardProblems(probs, cfg.ShardWorkers)
+	results, err := runShardProblems(probs)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	res := mergeShardResults(cfg, shares, probs, results)
-	if res.Resilience != nil {
-		res.Resilience.GroupSolves += int64(initDelta.Solved)
-		res.Resilience.GroupReuses += int64(initDelta.Reused)
-		if initDegraded {
-			res.Resilience.DegradedAllocs++
-		}
-	}
-	return res, true, nil
+	return mergeShardResults(cfg, shares, probs, results), nil
 }
 
 // buildShardProblems prepares one sub-run per component that carries
 // at least one flow. Flowless components are skipped: without sources
 // they produce no packets, no stats, and no observable fault effects,
 // exactly as on the single-engine path.
-func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares core.SubflowAllocation, resilient bool) ([]*shardProblem, error) {
+func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares core.SubflowAllocation) ([]*shardProblem, error) {
 	n := inst.Topo.NumNodes()
 	ncomp := sh.comps.Len()
 	compOf := make([]int32, n)
@@ -205,22 +186,8 @@ func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares cor
 		if err != nil {
 			return nil, err
 		}
-		var subInst *core.Instance
-		if resilient {
-			// The resilient path consults the contention graph (share
-			// floors, lenient re-instances); build it per shard.
-			subInst, err = core.NewInstanceLenient(subTopo, subSet)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			subInst = &core.Instance{Topo: subTopo, Flows: subSet}
-		}
-
 		scfg := cfg
-		scfg.ShardSim = false
 		scfg.Sharder = nil
-		scfg.ShardWorkers = 0
 		scfg.eng = nil
 		scfg.nodeIDs = nodeIDs
 		scfg.flowIdx = gidxOf[c]
@@ -233,56 +200,17 @@ func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares cor
 			}
 			scfg.Shares = sub
 		}
-		if cfg.Fault != nil {
-			scfg.Fault = shardFaultPlan(cfg.Fault, compOf, localOf, c)
-		}
-		probs = append(probs, &shardProblem{comp: c, members: members, inst: subInst, cfg: scfg})
+		probs = append(probs, &shardProblem{comp: c, members: members, inst: &core.Instance{Topo: subTopo, Flows: subSet}, cfg: scfg})
 	}
 	return probs, nil
 }
 
-// shardFaultPlan restricts a validated fault plan to one component,
-// remapping node IDs to shard-local indices. Directives whose nodes
-// fall outside the component are dropped: a link between components is
-// out of interference range, so neither its loss rate nor its up/down
-// state can ever be consulted there.
-func shardFaultPlan(p *fault.Plan, compOf, localOf []int32, c int) *fault.Plan {
-	sp := &fault.Plan{Seed: p.Seed, DefaultLoss: p.DefaultLoss}
-	for _, l := range p.LinkLoss {
-		if int(compOf[l.A]) == c && int(compOf[l.B]) == c {
-			sp.LinkLoss = append(sp.LinkLoss, fault.LinkLoss{
-				A: topology.NodeID(localOf[l.A]), B: topology.NodeID(localOf[l.B]), Rate: l.Rate,
-			})
-		}
-	}
-	for _, f := range p.NodeFaults {
-		if int(compOf[f.Node]) == c {
-			sp.NodeFaults = append(sp.NodeFaults, fault.NodeFault{
-				Node: topology.NodeID(localOf[f.Node]), Down: f.Down, Up: f.Up,
-			})
-		}
-	}
-	for _, f := range p.LinkFaults {
-		if int(compOf[f.A]) == c && int(compOf[f.B]) == c {
-			sp.LinkFaults = append(sp.LinkFaults, fault.LinkFault{
-				A: topology.NodeID(localOf[f.A]), B: topology.NodeID(localOf[f.B]), Down: f.Down, Up: f.Up,
-			})
-		}
-	}
-	return sp
-}
-
-// runShardProblems executes the sub-runs across a worker pool. Each
-// worker owns one engine recycled via Reset between shards; results
-// are index-addressed so the outcome is independent of scheduling. On
-// failure the lowest-indexed shard's error is returned.
-func runShardProblems(probs []*shardProblem, workers int) ([]*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(probs) {
-		workers = len(probs)
-	}
+// runShardProblems executes the sub-runs across a GOMAXPROCS worker
+// pool. Each worker owns one engine recycled via Reset between shards;
+// results are index-addressed so the outcome is independent of
+// scheduling. On failure the lowest-indexed shard's error is returned.
+func runShardProblems(probs []*shardProblem) ([]*Result, error) {
+	workers := min(runtime.GOMAXPROCS(0), len(probs))
 	results := make([]*Result, len(probs))
 	errs := make([]error, len(probs))
 	idx := make(chan int)
@@ -318,8 +246,8 @@ func runShardProblems(probs []*shardProblem, workers int) ([]*Result, error) {
 // mergeShardResults folds the per-component results into one, in
 // component order: collectors and latency trackers union (flow sets
 // are disjoint), series merge window-wise on the shared sampling
-// schedule, airtime sums with per-node totals remapped to global IDs,
-// and resilience counters sum with final routes remapped.
+// schedule, and airtime sums with per-node totals remapped to global
+// IDs.
 func mergeShardResults(cfg Config, shares core.SubflowAllocation, probs []*shardProblem, results []*Result) *Result {
 	out := &Result{
 		Protocol: cfg.Protocol,
@@ -331,11 +259,6 @@ func mergeShardResults(cfg Config, shares core.SubflowAllocation, probs []*shard
 			Duration:  cfg.Duration,
 			PerNodeTx: make(map[topology.NodeID]sim.Time),
 		},
-	}
-	var rep *ResilienceReport
-	if cfg.Fault != nil || cfg.Watchdog {
-		rep = &ResilienceReport{FinalRoutes: make(map[flow.ID][]topology.NodeID)}
-		out.Resilience = rep
 	}
 	for i, r := range results {
 		members := probs[i].members
@@ -359,51 +282,6 @@ func mergeShardResults(cfg Config, shares core.SubflowAllocation, probs []*shard
 				_ = out.Series.Merge(r.Series)
 			}
 		}
-		if rep != nil && r.Resilience != nil {
-			mergeResilience(rep, r.Resilience, members)
-		}
 	}
 	return out
-}
-
-// mergeResilience folds one shard's report into the merged report,
-// remapping final routes to global node IDs. Violations concatenate in
-// shard order up to the usual cap. Reallocations, WatchdogChecks and
-// the group-delta counters sum across shards, so they can legitimately
-// exceed the single-engine counts (each shard reallocates and checks
-// independently); every packet- and repair-accounting counter matches
-// the single-engine run exactly.
-func mergeResilience(dst, src *ResilienceReport, members []topology.NodeID) {
-	dst.Emitted += src.Emitted
-	dst.Injected += src.Injected
-	dst.Delivered += src.Delivered
-	dst.SourceDrops += src.SourceDrops
-	dst.QueueDrops += src.QueueDrops
-	dst.RetryDrops += src.RetryDrops
-	dst.NoRouteDrops += src.NoRouteDrops
-	dst.CorruptFrames += src.CorruptFrames
-	dst.InjectedLosses += src.InjectedLosses
-	dst.LinkDeadSignals += src.LinkDeadSignals
-	dst.RouteErrors += src.RouteErrors
-	dst.Reroutes += src.Reroutes
-	dst.Salvaged += src.Salvaged
-	dst.Reallocations += src.Reallocations
-	dst.DegradedAllocs += src.DegradedAllocs
-	dst.GroupSolves += src.GroupSolves
-	dst.GroupReuses += src.GroupReuses
-	dst.RepairTime += src.RepairTime
-	dst.WatchdogChecks += src.WatchdogChecks
-	for _, v := range src.Violations {
-		if len(dst.Violations) >= maxViolations {
-			break
-		}
-		dst.Violations = append(dst.Violations, v)
-	}
-	for fid, route := range src.FinalRoutes {
-		global := make([]topology.NodeID, len(route))
-		for j, n := range route {
-			global[j] = members[n]
-		}
-		dst.FinalRoutes[fid] = global
-	}
 }

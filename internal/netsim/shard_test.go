@@ -1,20 +1,23 @@
 package netsim_test
 
-// Sharded/single equivalence suite: the component-sharded simulator
-// must reproduce the single-engine run byte for byte — every subflow
-// count, drop, collision, latency sample, series window, and airtime
-// total — regardless of worker count or shard assignment. The tests
-// here pin that across the protocol stacks, a 200-seed property sweep,
-// the resilient and dynamic paths, and a node-ID permutation that
-// checks the per-node RNG scheme directly.
+// Sharded/single equivalence suite: Run shards a multi-component
+// topology by itself, and must reproduce the single-engine oracle
+// (RunSingleEngine) byte for byte — every subflow count, drop,
+// collision, latency sample, series window, and airtime total —
+// regardless of worker count or shard assignment. The tests here pin
+// that across the protocol stacks, a 200-seed property sweep, the
+// mobility epoch loops, and a node-ID permutation that checks the
+// per-node RNG scheme directly, and pin which runs shard at all.
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"e2efair/internal/core"
 	"e2efair/internal/fault"
 	"e2efair/internal/flow"
+	"e2efair/internal/mac"
 	"e2efair/internal/mobility"
 	"e2efair/internal/netsim"
 	"e2efair/internal/scenario"
@@ -85,10 +88,17 @@ func tiledFig1(t testing.TB, c int) *scenario.Scenario {
 	return s
 }
 
+// withProcs runs f with GOMAXPROCS set to n, which sizes the shard
+// worker pool.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // TestShardedEquivalenceTiled runs a three-component tiling of
-// Figure 6 under every protocol stack and demands the sharded result
-// equal the single-engine result on every observable, at both default
-// and 8-way worker pools.
+// Figure 6 under every protocol stack and demands the default run
+// equal the single-engine oracle on every observable, with one and
+// with eight shard workers.
 func TestShardedEquivalenceTiled(t *testing.T) {
 	s := tiledFig6(t, 3)
 	for _, p := range allProtocols {
@@ -99,21 +109,19 @@ func TestShardedEquivalenceTiled(t *testing.T) {
 				Seed:        3,
 				SampleEvery: sim.Second,
 			}
-			single, err := netsim.Run(s.Inst, cfg)
+			single, err := netsim.RunSingleEngine(s.Inst, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := renderDeep(s, single)
-			for _, workers := range []int{0, 1, 8} {
-				scfg := cfg
-				scfg.ShardSim = true
-				scfg.ShardWorkers = workers
-				sharded, err := netsim.Run(s.Inst, scfg)
+			for _, procs := range []int{1, 8} {
+				var sharded *netsim.Result
+				withProcs(procs, func() { sharded, err = netsim.Run(s.Inst, cfg) })
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := renderDeep(s, sharded); got != want {
-					t.Errorf("workers=%d: sharded run diverged:\n got: %s\nwant: %s", workers, got, want)
+					t.Errorf("GOMAXPROCS=%d: sharded run diverged:\n got: %s\nwant: %s", procs, got, want)
 				}
 			}
 		})
@@ -121,8 +129,9 @@ func TestShardedEquivalenceTiled(t *testing.T) {
 }
 
 // TestShardedEquivalenceSeeds is the 200-seed property sweep: across
-// seeds (cycling through all five protocol stacks) the sharded and
-// single-engine runs of a two-component scenario must agree exactly.
+// seeds (cycling through all five protocol stacks) the default run of
+// a two-component scenario and the single-engine oracle must agree
+// exactly.
 func TestShardedEquivalenceSeeds(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -132,12 +141,10 @@ func TestShardedEquivalenceSeeds(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		p := allProtocols[seed%len(allProtocols)]
 		cfg := netsim.Config{Protocol: p, Duration: 2 * sim.Second, Seed: int64(seed)}
-		single, err := netsim.Run(s.Inst, cfg)
+		single, err := netsim.RunSingleEngine(s.Inst, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.ShardSim = true
-		cfg.ShardWorkers = 4
 		sharded, err := netsim.Run(s.Inst, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -155,25 +162,23 @@ func TestShardedEquivalenceSeeds(t *testing.T) {
 func TestShardedManyWorkersRace(t *testing.T) {
 	s := tiledFig6(t, 8)
 	cfg := netsim.Config{Protocol: netsim.Protocol2PAC, Duration: sim.Second, Seed: 11}
-	single, err := netsim.Run(s.Inst, cfg)
+	single, err := netsim.RunSingleEngine(s.Inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := renderDeep(s, single)
-	sh := netsim.NewSharder()
-	for round := 0; round < 3; round++ {
-		scfg := cfg
-		scfg.ShardSim = true
-		scfg.ShardWorkers = 8
-		scfg.Sharder = sh // exercise the cached sub-topology path too
-		r, err := netsim.Run(s.Inst, scfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg.Sharder = netsim.NewSharder() // exercise the cached sub-topology path too
+	withProcs(8, func() {
+		for round := 0; round < 3; round++ {
+			r, err := netsim.Run(s.Inst, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderDeep(s, r); got != want {
+				t.Fatalf("round %d: sharded diverged", round)
+			}
 		}
-		if got := renderDeep(s, r); got != want {
-			t.Fatalf("round %d: sharded diverged", round)
-		}
-	}
+	})
 }
 
 // TestNodeIDPermutation pins the per-node RNG scheme itself: in a
@@ -231,12 +236,14 @@ func TestNodeIDPermutation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The oracle runs both chains on one engine, so their
+			// events interleave; Run would shard them apart.
 			cfg := netsim.Config{Protocol: p, Duration: 2 * sim.Second, Seed: 5}
-			ra, err := netsim.Run(a.Inst, cfg)
+			ra, err := netsim.RunSingleEngine(a.Inst, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb, err := netsim.Run(bsc.Inst, cfg)
+			rb, err := netsim.RunSingleEngine(bsc.Inst, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,84 +252,6 @@ func TestNodeIDPermutation(t *testing.T) {
 			// so compare the flow view only.
 			if got, want := renderRun(a, rb), renderRun(a, ra); got != want {
 				t.Errorf("ID permutation changed per-flow results:\n got: %s\nwant: %s", got, want)
-			}
-		})
-	}
-}
-
-// TestShardedResilientEquivalence pins the fault/watchdog path: a
-// two-component tiling with loss, node and link faults in both tiles
-// must deliver identical packet accounting sharded and single. Repair
-// and reallocation cadence counters (Reallocations, WatchdogChecks,
-// GroupSolves/GroupReuses) legitimately differ — each shard runs its
-// own watchdog — so they are excluded from the comparison.
-func TestShardedResilientEquivalence(t *testing.T) {
-	s := tiledFig1(t, 2)
-	// fig1 nodes per tile: A B C D E F = 0..5, tile 1 at 6..11.
-	plan := &fault.Plan{
-		Seed:        9,
-		DefaultLoss: 0.02,
-		LinkLoss:    []fault.LinkLoss{{A: 0, B: 1, Rate: 0.2}, {A: 9, B: 10, Rate: 0.15}},
-		NodeFaults:  []fault.NodeFault{{Node: 7, Down: sim.Second, Up: 2 * sim.Second}},
-		LinkFaults:  []fault.LinkFault{{A: 1, B: 2, Down: 1500 * sim.Millisecond, Up: 2500 * sim.Millisecond}},
-	}
-	for _, p := range []netsim.Protocol{netsim.Protocol80211, netsim.Protocol2PAC, netsim.ProtocolDFS} {
-		t.Run(p.String(), func(t *testing.T) {
-			cfg := netsim.Config{
-				Protocol: p,
-				Duration: 4 * sim.Second,
-				Seed:     13,
-				Fault:    plan,
-				Watchdog: true,
-			}
-			single, err := netsim.Run(s.Inst, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.ShardSim = true
-			cfg.ShardWorkers = 4
-			sharded, err := netsim.Run(s.Inst, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := renderDeep(s, sharded), renderDeep(s, single); got != want {
-				t.Errorf("sharded resilient run diverged:\n got: %s\nwant: %s", got, want)
-			}
-			sr, wr := sharded.Resilience, single.Resilience
-			if sr == nil || wr == nil {
-				t.Fatal("missing resilience report")
-			}
-			type packetView struct {
-				emitted, injected, delivered            int64
-				srcDrops, queueDrops, retryDrops        int64
-				noRoute, corrupt, injectedLoss          int64
-				linkDead, routeErrors, reroutes, salved int64
-			}
-			view := func(r *netsim.ResilienceReport) packetView {
-				return packetView{
-					r.Emitted, r.Injected, r.Delivered,
-					r.SourceDrops, r.QueueDrops, r.RetryDrops,
-					r.NoRouteDrops, r.CorruptFrames, r.InjectedLosses,
-					r.LinkDeadSignals, r.RouteErrors, r.Reroutes, r.Salvaged,
-				}
-			}
-			if view(sr) != view(wr) {
-				t.Errorf("resilience packet accounting diverged:\n got: %+v\nwant: %+v", view(sr), view(wr))
-			}
-			if len(sr.FinalRoutes) != len(wr.FinalRoutes) {
-				t.Fatalf("final route counts differ: %d vs %d", len(sr.FinalRoutes), len(wr.FinalRoutes))
-			}
-			for id, want := range wr.FinalRoutes {
-				got := sr.FinalRoutes[id]
-				if len(got) != len(want) {
-					t.Errorf("flow %s final route length %d != %d", id, len(got), len(want))
-					continue
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("flow %s final route hop %d: %d != %d", id, i, got[i], want[i])
-					}
-				}
 			}
 		})
 	}
@@ -351,23 +280,26 @@ func mobilityConfig(rebuild bool, side float64) mobility.Config {
 	}
 }
 
+// nopTracer observes nothing; attaching it keeps a run on the single
+// engine without changing any outcome.
+type nopTracer struct{}
+
+func (nopTracer) Trace(mac.TraceEvent) {}
+
 // TestShardedMobilityEquivalence composes sharding with the mobility
-// epoch loops: the same mobile scenario with Net.ShardSim on and off
-// must produce identical epoch and total accounting for both the
-// rebuild and incremental pipelines, with one Sharder re-sharding
-// incrementally across epochs.
+// epoch loops: default epochs, which shard with one Sharder
+// re-sharding incrementally across epochs, must produce the epoch and
+// total accounting of traced epochs, which run on the single engine,
+// for both the rebuild and incremental pipelines.
 func TestShardedMobilityEquivalence(t *testing.T) {
-	base := func(rebuild, shard bool) mobility.Config {
-		cfg := mobilityConfig(rebuild, 1500)
-		cfg.Net.ShardSim = shard
-		return cfg
-	}
 	for _, rebuild := range []bool{false, true} {
-		plain, err := mobility.Run(base(rebuild, false))
+		cfg := mobilityConfig(rebuild, 1500)
+		sharded, err := mobility.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := mobility.Run(base(rebuild, true))
+		cfg.Net.Tracer = nopTracer{}
+		plain, err := mobility.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,31 +323,62 @@ func TestShardedMobilityEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedSingleComponentFallsBack checks the cutoff: a one-
-// component scenario with ShardSim set must still take the exact
-// single-engine path (and its result must of course match).
+// TestShardedSingleComponentFallsBack checks the cutoff: Figure 6 is
+// one radio component, so Run takes the single engine, and its result
+// matches the oracle.
 func TestShardedSingleComponentFallsBack(t *testing.T) {
 	s, err := scenario.Figure6()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cs topology.RadioComponentSet
-	s.Topo.AppendRadioComponents(&cs)
-	if cs.Len() != 1 {
-		t.Skipf("figure6 has %d radio components, expected 1", cs.Len())
-	}
 	cfg := netsim.Config{Protocol: netsim.Protocol2PAC, Duration: sim.Second, Seed: 2}
-	single, err := netsim.Run(s.Inst, cfg)
+	if n := netsim.Shards(s.Inst, cfg); n != 1 {
+		t.Fatalf("figure6 splits into %d shards, want 1", n)
+	}
+	single, err := netsim.RunSingleEngine(s.Inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ShardSim = true
 	r, err := netsim.Run(s.Inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := renderDeep(s, r), renderDeep(s, single); got != want {
-		t.Errorf("single-component ShardSim run diverged from plain run")
+		t.Errorf("single-component run diverged from the oracle")
+	}
+}
+
+// TestShardsRule pins which runs shard: a topology of two or more
+// radio components shards into one engine per component unless the
+// run is traced, carries a fault plan or enables the watchdog; a
+// single-component topology never shards.
+func TestShardsRule(t *testing.T) {
+	fig6, err := scenario.Figure6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := netsim.Config{Protocol: netsim.Protocol2PAC}
+	traced, faulted, watched := base, base, base
+	traced.Tracer = nopTracer{}
+	faulted.Fault = &fault.Plan{}
+	watched.Watchdog = true
+	for _, tc := range []struct {
+		name string
+		s    *scenario.Scenario
+		cfg  netsim.Config
+		want int
+	}{
+		{"fig1x2", tiledFig1(t, 2), base, 2},
+		{"fig6x3", tiledFig6(t, 3), base, 3},
+		{"fig6x8", tiledFig6(t, 8), base, 8},
+		{"fig6", fig6, base, 1},
+		{"fig6x3-traced", tiledFig6(t, 3), traced, 1},
+		{"fig6x3-fault", tiledFig6(t, 3), faulted, 1},
+		{"fig6x3-watchdog", tiledFig6(t, 3), watched, 1},
+	} {
+		if got := netsim.Shards(tc.s.Inst, tc.cfg); got != tc.want {
+			t.Errorf("%s: %d shards, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -444,51 +407,5 @@ func TestMergeHelpers(t *testing.T) {
 	ca.Merge(cb)
 	if got := ca.Subflow(id); got != 3 {
 		t.Errorf("merged collector subflow count = %d, want 3", got)
-	}
-}
-
-// TestShardedCrashedComponentEquivalence crashes every node of one
-// radio component for essentially the whole run: the component still
-// shards, its engine simulates parked nodes without delivering
-// anything, and the sharded result stays byte-identical to the
-// single-engine run. This pins the degenerate shard shape — a
-// component containing only crashed nodes — end to end.
-func TestShardedCrashedComponentEquivalence(t *testing.T) {
-	s := tiledFig1(t, 2)
-	// Tile 1 occupies nodes 6..11; take the whole tile down at 1 ms,
-	// never to recover.
-	var faults []fault.NodeFault
-	for n := topology.NodeID(6); n <= 11; n++ {
-		faults = append(faults, fault.NodeFault{Node: n, Down: sim.Millisecond})
-	}
-	plan := &fault.Plan{Seed: 5, NodeFaults: faults}
-	cfg := netsim.Config{
-		Protocol: netsim.Protocol2PAC,
-		Duration: 3 * sim.Second,
-		Seed:     11,
-		Fault:    plan,
-	}
-	single, err := netsim.Run(s.Inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ShardSim = true
-	cfg.ShardWorkers = 4
-	sharded, err := netsim.Run(s.Inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := renderDeep(s, sharded), renderDeep(s, single); got != want {
-		t.Errorf("crashed-component sharded run diverged:\n got: %s\nwant: %s", got, want)
-	}
-	// Flows living on the crashed tile deliver at most a packet or two
-	// (whatever squeezed through before the 1 ms crash).
-	for _, f := range s.Flows.Flows() {
-		if f.Subflows()[0].Src < 6 {
-			continue
-		}
-		if n := sharded.Stats.EndToEnd(f.ID()); n > 2 {
-			t.Errorf("flow %s on the crashed component delivered %d packets", f.ID(), n)
-		}
 	}
 }

@@ -100,18 +100,9 @@ type Config struct {
 	// MaxBatch caps events applied per Instance rebuild; 0 = unlimited.
 	MaxBatch int
 
-	// Workers is the LP worker count of each shard's core.Allocator
-	// (the within-shard group fan-out); 0 or 1 = sequential.
-	Workers int
-
 	// CacheCap bounds each shard allocator's group-share cache;
 	// 0 = core.DefaultGroupCacheCap.
 	CacheCap int
-
-	// NoRefine disables the lexicographic max-min refinement. The
-	// default (refined) matches the paper's deterministic solutions and
-	// Allocator.Centralized with Refine: true.
-	NoRefine bool
 
 	// MaxFlows rejects registers once a shard holds this many live
 	// flows; 0 = unlimited.

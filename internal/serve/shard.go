@@ -31,8 +31,8 @@ type Snapshot struct {
 // inside each Snapshot so reads are lock-free.
 type ShardStats struct {
 	Epoch          uint64 `json:"epoch"`
-	Batches        uint64 `json:"batches"`  // batch cycles applied (incl. flush-only)
-	Events         uint64 `json:"events"`   // accepted register/remove events
+	Batches        uint64 `json:"batches"` // batch cycles applied (incl. flush-only)
+	Events         uint64 `json:"events"`  // accepted register/remove events
 	Registers      uint64 `json:"registers"`
 	Removes        uint64 `json:"removes"`
 	Rejected       uint64 `json:"rejected"` // duplicate + admission rejections
@@ -116,7 +116,6 @@ type shard struct {
 	eng      *Engine
 	id       int
 	topo     *topology.Topology
-	opts     core.CentralizedOptions
 	window   time.Duration
 	maxBatch int
 	maxFlows int
@@ -140,8 +139,8 @@ type shard struct {
 
 	// Durability (nil dlog = volatile shard, the PR 9 behavior).
 	dlog      *durable.ShardLog
-	snapEvery int // accepted events between durable snapshots; 0 = never
-	sinceSnap int // accepted events since the last durable snapshot
+	snapEvery int                 // accepted events between durable snapshots; 0 = never
+	sinceSnap int                 // accepted events since the last durable snapshot
 	walRec    durable.BatchRecord // scratch for WAL appends
 }
 
@@ -149,11 +148,7 @@ type shard struct {
 var emptyShares = make(core.FlowAllocation)
 
 func newShard(e *Engine, id int, cfg Config) *shard {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	alloc := core.NewAllocatorWorkers(workers)
+	alloc := core.NewAllocatorWorkers(1)
 	if cfg.CacheCap > 0 {
 		alloc.SetGroupCacheCap(cfg.CacheCap)
 	}
@@ -161,7 +156,6 @@ func newShard(e *Engine, id int, cfg Config) *shard {
 		eng:      e,
 		id:       id,
 		topo:     cfg.Topo,
-		opts:     core.CentralizedOptions{Refine: !cfg.NoRefine},
 		window:   cfg.Window,
 		maxBatch: cfg.MaxBatch,
 		maxFlows: cfg.MaxFlows,
@@ -391,7 +385,7 @@ func (s *shard) price() (core.FlowAllocation, error) {
 		if err != nil {
 			return nil, err
 		}
-		alloc, d, err := s.alloc.CentralizedDelta(inst, s.opts)
+		alloc, d, err := s.alloc.CentralizedDelta(inst, core.CentralizedOptions{Refine: true})
 		if err != nil {
 			return nil, err
 		}
