@@ -128,8 +128,8 @@ func runSharded(a *core.Allocator, inst *core.Instance, cfg Config, sh *Sharder)
 
 // buildShardProblems prepares one sub-run per component that carries
 // at least one flow. Flowless components are skipped: without sources
-// they produce no packets, no stats, and no observable fault effects,
-// exactly as on the single-engine path.
+// they send nothing, so they add no stats and no airtime, exactly as on
+// the single-engine path.
 func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares core.SubflowAllocation) ([]*shardProblem, error) {
 	n := inst.Topo.NumNodes()
 	ncomp := sh.comps.Len()
