@@ -42,8 +42,9 @@ func SweepJobs(insts []*core.Instance, cfg Config, protocols []Protocol, seeds [
 // regardless of which worker ran it or when it finished, so a parallel
 // sweep is bit-identical to running the jobs sequentially. On failure
 // the error of the lowest-indexed failing job is returned (also
-// deterministic). Configs carrying a shared Tracer must not be fanned
-// out: a tracer would interleave events from concurrent engines.
+// deterministic). Configs carrying a shared Tracer or Sharder must not
+// be fanned out: a tracer would interleave events from concurrent
+// engines, and a Sharder is not safe for concurrent use.
 func RunParallel(jobs []Job) ([]*Result, error) {
 	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	results := make([]*Result, len(jobs))
