@@ -12,12 +12,12 @@ func RunSingleEngine(inst *core.Instance, cfg Config) (*Result, error) {
 	return &r.res.Result, nil
 }
 
-// Shards reports how many radio components Run splits the run into,
-// or 1 when it takes the single engine.
+// Shards reports how many engines Run splits the run into: one per
+// radio component that carries a flow, or 1 on the single engine.
 func Shards(inst *core.Instance, cfg Config) int {
-	sh := planShards(inst, cfg.withDefaults())
-	if sh == nil {
-		return 1
-	}
-	return sh.comps.Len()
+	_, n := planShards(inst, cfg.withDefaults())
+	return n
 }
+
+// CachedShards reports how many sub-topologies sh holds.
+func CachedShards(sh *Sharder) int { return len(sh.cache) }

@@ -56,8 +56,9 @@ func (p Protocol) String() string {
 var ErrNeedTopology = errors.New("netsim: instance has no geometric topology")
 
 // Config parameterizes a simulation run. Zero fields take the paper's
-// defaults. No field selects the engine: Run shards a topology of two
-// or more radio components unless Tracer, Fault or Watchdog is set.
+// defaults. No field selects the engine: Run shards a run whose flows
+// sit in two or more radio components unless Tracer, Fault or Watchdog
+// is set.
 type Config struct {
 	Protocol     Protocol
 	Duration     sim.Time // simulated time; default 1000 s
@@ -180,9 +181,9 @@ type Result struct {
 	Resilience *ResilienceReport
 }
 
-// Run executes one simulation. A run whose topology has at least two
+// Run executes one simulation. A run whose flows sit in at least two
 // radio components, and which has no Tracer, no Fault plan and the
-// Watchdog off, is sharded: each component is simulated on its own
+// Watchdog off, is sharded: each such component is simulated on its own
 // event engine over a GOMAXPROCS worker pool and the results merged.
 // Components out of interference range never contend, and every
 // random draw comes from a per-node stream keyed by the node's global
@@ -198,7 +199,7 @@ func Run(inst *core.Instance, cfg Config) (*Result, error) {
 // allocator behaves exactly like Run, and RunWith shards as Run does.
 func RunWith(a *core.Allocator, inst *core.Instance, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if sh := planShards(inst, cfg); sh != nil {
+	if sh, _ := planShards(inst, cfg); sh != nil {
 		return runSharded(a, inst, cfg, sh)
 	}
 	r, err := simulate(a, inst, cfg, nil, false)

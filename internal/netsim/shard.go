@@ -22,8 +22,12 @@ import (
 // every other shard from the cache. A Sharder is not safe for
 // concurrent use; each run sequence owns its own.
 type Sharder struct {
-	comps topology.RadioComponentSet
-	cache map[uint64]*shardEntry
+	comps  topology.RadioComponentSet
+	compOf []int32 // node → component index of the last partition
+	// cache holds the sub-topologies of the last sharded run only; next
+	// collects the current run's shards and replaces it when the run is
+	// built, so the cache never outgrows one partition.
+	cache, next map[uint64]*shardEntry
 }
 
 // shardEntry is one cached shard: the member list the fingerprint was
@@ -35,7 +39,7 @@ type shardEntry struct {
 
 // NewSharder returns an empty sharder.
 func NewSharder() *Sharder {
-	return &Sharder{cache: make(map[uint64]*shardEntry)}
+	return &Sharder{cache: make(map[uint64]*shardEntry), next: make(map[uint64]*shardEntry)}
 }
 
 // subTopo returns the induced sub-topology for a component, from cache
@@ -44,18 +48,42 @@ func NewSharder() *Sharder {
 // behaviorally interchangeable even when positions drifted without
 // changing any range predicate.
 func (s *Sharder) subTopo(t *topology.Topology, members []topology.NodeID, fp uint64) (*topology.Topology, error) {
-	if e, ok := s.cache[fp]; ok && slices.Equal(e.members, members) {
-		return e.topo, nil
+	e, ok := s.cache[fp]
+	if !ok || !slices.Equal(e.members, members) {
+		sub, err := t.Subset(members)
+		if err != nil {
+			return nil, err
+		}
+		e = &shardEntry{members: append([]topology.NodeID(nil), members...), topo: sub}
 	}
-	sub, err := t.Subset(members)
-	if err != nil {
-		return nil, err
+	s.next[fp] = e
+	return e.topo, nil
+}
+
+// partition splits the instance's topology into radio components,
+// records each node's component, and returns how many components hold
+// a flow source.
+func (s *Sharder) partition(inst *core.Instance) int {
+	inst.Topo.AppendRadioComponents(&s.comps)
+	ncomp := s.comps.Len()
+	if ncomp < 2 {
+		return ncomp
 	}
-	s.cache[fp] = &shardEntry{
-		members: append([]topology.NodeID(nil), members...),
-		topo:    sub,
+	s.compOf = slices.Grow(s.compOf[:0], inst.Topo.NumNodes())[:inst.Topo.NumNodes()]
+	for c := 0; c < ncomp; c++ {
+		for _, id := range s.comps.Component(c) {
+			s.compOf[id] = int32(c)
+		}
 	}
-	return sub, nil
+	carrying := make([]bool, ncomp)
+	n := 0
+	for _, f := range inst.Flows.Flows() {
+		if c := s.compOf[f.Source()]; !carrying[c] {
+			carrying[c] = true
+			n++
+		}
+	}
+	return n
 }
 
 // shardProblem is one component's fully prepared sub-run: the induced
@@ -69,26 +97,28 @@ type shardProblem struct {
 }
 
 // planShards returns the sharder holding the run's radio components
-// when the run shards, and nil when it takes the single engine. A run
-// shards exactly when its topology has at least two radio components
-// and it has no tracer, fault plan or watchdog: a tracer would
-// interleave events from concurrent engines, and a fault or watchdog
-// run re-solves and checks invariants over the whole network, so its
-// counters would change if each component ran its own coordinator. A
-// run without flows has nothing to split.
-func planShards(inst *core.Instance, cfg Config) *Sharder {
-	if cfg.Tracer != nil || cfg.Fault != nil || cfg.Watchdog || inst.Topo == nil || inst.Flows.Len() == 0 {
-		return nil
+// and the number of shards when the run shards, and nil when it takes
+// the single engine. A run shards exactly when at least two radio
+// components of its topology carry flows and it has no tracer, fault
+// plan or watchdog: a tracer would interleave events from concurrent
+// engines, and a fault or watchdog run re-solves and checks invariants
+// over the whole network, so its counters would change if each
+// component ran its own coordinator. Components without flows send
+// nothing, so they never count: a run whose flows share one component
+// has nothing to split.
+func planShards(inst *core.Instance, cfg Config) (*Sharder, int) {
+	if cfg.Tracer != nil || cfg.Fault != nil || cfg.Watchdog || inst.Topo == nil || inst.Flows.Len() < 2 {
+		return nil, 1
 	}
 	sh := cfg.Sharder
 	if sh == nil {
 		sh = NewSharder()
 	}
-	inst.Topo.AppendRadioComponents(&sh.comps)
-	if sh.comps.Len() < 2 {
-		return nil
+	n := sh.partition(inst)
+	if n < 2 {
+		return nil, 1
 	}
-	return sh
+	return sh, n
 }
 
 // runSharded partitions the run by radio component, solves the first
@@ -131,14 +161,8 @@ func runSharded(a *core.Allocator, inst *core.Instance, cfg Config, sh *Sharder)
 // they send nothing, so they add no stats and no airtime, exactly as on
 // the single-engine path.
 func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares core.SubflowAllocation) ([]*shardProblem, error) {
-	n := inst.Topo.NumNodes()
 	ncomp := sh.comps.Len()
-	compOf := make([]int32, n)
-	for c := 0; c < ncomp; c++ {
-		for _, id := range sh.comps.Component(c) {
-			compOf[id] = int32(c)
-		}
-	}
+	compOf := sh.compOf
 	// Flows grouped by the component of their source; paths are closed
 	// within a component (every hop is a tx-range link, and tx range ≤
 	// interference range), so the source's component owns the flow.
@@ -150,8 +174,9 @@ func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares cor
 		gidxOf[c] = append(gidxOf[c], i)
 	}
 
-	localOf := make([]int32, n) // global → local, valid for the component in flight
+	localOf := make([]int32, len(compOf)) // global → local, valid for the component in flight
 	var probs []*shardProblem
+	clear(sh.next)
 	for c := 0; c < ncomp; c++ {
 		if len(flowsOf[c]) == 0 {
 			continue
@@ -202,6 +227,8 @@ func buildShardProblems(sh *Sharder, inst *core.Instance, cfg Config, shares cor
 		}
 		probs = append(probs, &shardProblem{comp: c, members: members, inst: &core.Instance{Topo: subTopo, Flows: subSet}, cfg: scfg})
 	}
+	sh.cache, sh.next = sh.next, sh.cache
+	clear(sh.next)
 	return probs, nil
 }
 

@@ -280,6 +280,28 @@ func mobilityConfig(rebuild bool, side float64) mobility.Config {
 	}
 }
 
+// shardingMobilityConfig is a sparse mobile network — 100 nodes on a
+// 2500 m square, 20 flows — whose routed flows sit in two or more radio
+// components in most epochs, so default epochs shard.
+func shardingMobilityConfig(rebuild bool) mobility.Config {
+	flows := make([]mobility.FlowSpec, 20)
+	for i := range flows {
+		flows[i] = mobility.FlowSpec{ID: flow.ID(fmt.Sprintf("F%d", i+1)), Src: i, Dst: i + 20}
+	}
+	return mobility.Config{
+		Nodes: 100,
+		Waypoint: mobility.WaypointConfig{
+			Width: 2500, Height: 2500, MinSpeed: 1, MaxSpeed: 15, MaxPause: sim.Second,
+		},
+		Flows:    flows,
+		Protocol: netsim.Protocol2PAC,
+		Epoch:    5 * sim.Second,
+		Duration: 40 * sim.Second,
+		Seed:     17,
+		Rebuild:  rebuild,
+	}
+}
+
 // nopTracer observes nothing; attaching it keeps a run on the single
 // engine without changing any outcome.
 type nopTracer struct{}
@@ -293,7 +315,7 @@ func (nopTracer) Trace(mac.TraceEvent) {}
 // for both the rebuild and incremental pipelines.
 func TestShardedMobilityEquivalence(t *testing.T) {
 	for _, rebuild := range []bool{false, true} {
-		cfg := mobilityConfig(rebuild, 1500)
+		cfg := shardingMobilityConfig(rebuild)
 		sharded, err := mobility.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -348,10 +370,12 @@ func TestShardedSingleComponentFallsBack(t *testing.T) {
 	}
 }
 
-// TestShardsRule pins which runs shard: a topology of two or more
-// radio components shards into one engine per component unless the
-// run is traced, carries a fault plan or enables the watchdog; a
-// single-component topology never shards.
+// TestShardsRule pins which runs shard: a run whose flows sit in two
+// or more radio components shards into one engine per such component
+// unless it is traced, carries a fault plan or enables the watchdog;
+// flowless components never count, so a run whose flows share one
+// component — a single-component topology, or one tile of several —
+// takes the single engine.
 func TestShardsRule(t *testing.T) {
 	fig6, err := scenario.Figure6()
 	if err != nil {
@@ -364,20 +388,73 @@ func TestShardsRule(t *testing.T) {
 	watched.Watchdog = true
 	for _, tc := range []struct {
 		name string
-		s    *scenario.Scenario
+		inst *core.Instance
 		cfg  netsim.Config
 		want int
 	}{
-		{"fig1x2", tiledFig1(t, 2), base, 2},
-		{"fig6x3", tiledFig6(t, 3), base, 3},
-		{"fig6x8", tiledFig6(t, 8), base, 8},
-		{"fig6", fig6, base, 1},
-		{"fig6x3-traced", tiledFig6(t, 3), traced, 1},
-		{"fig6x3-fault", tiledFig6(t, 3), faulted, 1},
-		{"fig6x3-watchdog", tiledFig6(t, 3), watched, 1},
+		{"fig1x2", tiledFig1(t, 2).Inst, base, 2},
+		{"fig6x3", tiledFig6(t, 3).Inst, base, 3},
+		{"fig6x8", tiledFig6(t, 8).Inst, base, 8},
+		{"fig6", fig6.Inst, base, 1},
+		{"fig6x3-flows-in-1", firstTiles(t, 3, 1), base, 1},
+		{"fig6x3-flows-in-2", firstTiles(t, 3, 2), base, 2},
+		{"fig6x3-traced", tiledFig6(t, 3).Inst, traced, 1},
+		{"fig6x3-fault", tiledFig6(t, 3).Inst, faulted, 1},
+		{"fig6x3-watchdog", tiledFig6(t, 3).Inst, watched, 1},
 	} {
-		if got := netsim.Shards(tc.s.Inst, tc.cfg); got != tc.want {
+		if got := netsim.Shards(tc.inst, tc.cfg); got != tc.want {
 			t.Errorf("%s: %d shards, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// firstTiles returns a copies-tile Figure 6 tiling that keeps only the
+// flows of its first k tiles, leaving the other tiles flowless.
+func firstTiles(t *testing.T, copies, k int) *core.Instance {
+	t.Helper()
+	s := tiledFig6(t, copies)
+	flows := s.Flows.Flows()
+	set, err := flow.NewSet(flows[:len(flows)/copies*k]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := core.NewInstance(s.Topo, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// TestSharderCacheBounded checks that a Sharder reused across runs keeps
+// only the last sharded run's sub-topologies: across mobility epochs
+// and across a shrinking tiling, it never holds more entries than the
+// run had shards.
+func TestSharderCacheBounded(t *testing.T) {
+	cfg := shardingMobilityConfig(false)
+	sh := netsim.NewSharder()
+	cfg.Net.Sharder = sh
+	res, err := mobility.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every shard carries a flow, so one run's shards never outnumber
+	// the flows any epoch routed.
+	routed := 0
+	for _, ep := range res.Epochs {
+		routed = max(routed, ep.Routed)
+	}
+	if n := netsim.CachedShards(sh); n == 0 || n > routed {
+		t.Errorf("after %d mobility epochs: %d cached sub-topologies, want 1..%d", len(res.Epochs), n, routed)
+	}
+
+	sh = netsim.NewSharder()
+	for _, copies := range []int{6, 2} {
+		s := tiledFig6(t, copies)
+		if _, err := netsim.Run(s.Inst, netsim.Config{Protocol: netsim.Protocol2PAC, Duration: sim.Second / 10, Seed: 1, Sharder: sh}); err != nil {
+			t.Fatal(err)
+		}
+		if n := netsim.CachedShards(sh); n != copies {
+			t.Errorf("after a %d-tile run: %d cached sub-topologies, want %d", copies, n, copies)
 		}
 	}
 }
